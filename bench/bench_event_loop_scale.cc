@@ -125,7 +125,7 @@ main()
            "thread-per-replica vs event-driven coordinator; identical "
            "simulations, wall-clock compared (Yi-6B paged replicas, "
            "16-token prompts, 4 output tokens)");
-    JsonReport json("bench_event_loop_scale");
+    JsonReport json("event_loop_scale");
 
     const std::vector<int> replica_counts =
         smokeMode() ? std::vector<int>{2, 4}

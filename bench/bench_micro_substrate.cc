@@ -9,6 +9,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "attn/kernels.hh"
 #include "bench_util.hh"
 #include "common/rng.hh"
@@ -157,6 +159,61 @@ BM_DriverMapUnmap64KB(benchmark::State &state)
 }
 BENCHMARK(BM_DriverMapUnmap64KB);
 
+/** Live extents per device at the offline_longctx peak. */
+constexpr u64 kPeakExtents = 30000;
+
+/** Fill the page table with kPeakExtents aliased 2MB mappings. */
+void
+preloadPeakExtents(cuvmm::Driver &driver)
+{
+    Addr base = 0;
+    driver.cuMemAddressReserve(&base, kPeakExtents * 2 * MiB);
+    cuvmm::MemHandle handle = cuvmm::kInvalidHandle;
+    driver.cuMemCreate(&handle, 2 * MiB);
+    for (u64 i = 0; i < kPeakExtents; ++i) {
+        driver.cuMemMap(base + i * 2 * MiB, 2 * MiB, 0, handle);
+        driver.cuMemSetAccess(base + i * 2 * MiB, 2 * MiB);
+    }
+}
+
+void
+BM_CuMapAccessUnmap2MBAtPeak(benchmark::State &state)
+{
+    gpu::GpuDevice device(benchDeviceConfig());
+    cuvmm::Driver driver(device);
+    preloadPeakExtents(driver);
+    Addr va = 0;
+    driver.cuMemAddressReserve(&va, 2 * MiB);
+    cuvmm::MemHandle handle = cuvmm::kInvalidHandle;
+    driver.cuMemCreate(&handle, 2 * MiB);
+    for (auto _ : state) {
+        driver.cuMemMap(va, 2 * MiB, 0, handle);
+        driver.cuMemSetAccess(va, 2 * MiB);
+        driver.cuMemUnmap(va, 2 * MiB);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CuMapAccessUnmap2MBAtPeak);
+
+void
+BM_VMemCreateMapRelease64KBAtPeak(benchmark::State &state)
+{
+    // vMemRelease frees the handle, so each iteration creates one.
+    gpu::GpuDevice device(benchDeviceConfig());
+    cuvmm::Driver driver(device);
+    preloadPeakExtents(driver);
+    Addr va = 0;
+    driver.vMemReserve(&va, 64 * KiB);
+    for (auto _ : state) {
+        cuvmm::MemHandle handle = cuvmm::kInvalidHandle;
+        driver.vMemCreate(&handle, PageGroup::k64KB);
+        driver.vMemMap(va, handle);
+        driver.vMemRelease(handle);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_VMemCreateMapRelease64KBAtPeak);
+
 void
 BM_PageTableTranslate(benchmark::State &state)
 {
@@ -180,6 +237,27 @@ BM_PageTableTranslate(benchmark::State &state)
 }
 BENCHMARK(BM_PageTableTranslate);
 
+/** Console output as usual, plus each run's wall ns/op for the JSON. */
+class WallCapture : public benchmark::ConsoleReporter
+{
+  public:
+    void
+    ReportRuns(const std::vector<Run> &runs) override
+    {
+        for (const Run &run : runs) {
+            if (run.run_type == Run::RT_Iteration && !run.error_occurred) {
+                ns_per_op.emplace_back(
+                    run.benchmark_name(),
+                    run.GetAdjustedRealTime() * 1e9 /
+                        benchmark::GetTimeUnitMultiplier(run.time_unit));
+            }
+        }
+        ConsoleReporter::ReportRuns(runs);
+    }
+
+    std::vector<std::pair<std::string, double>> ns_per_op;
+};
+
 } // namespace
 } // namespace vattn
 
@@ -187,16 +265,21 @@ int
 main(int argc, char **argv)
 {
     // Manual BENCHMARK_MAIN so the run also emits the machine-readable
-    // report every bench binary writes (google-benchmark prints its
-    // own wall-time table; the JSON records that the suite ran).
+    // report every bench binary writes: one `<benchmark>_ns_wall` key
+    // per run (host-dependent, so the JSON diff skips them).
     vattn::bench::JsonReport json("micro_substrate");
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
         return 1;
     }
+    vattn::WallCapture reporter;
     json.metric("benchmarks_run",
                 static_cast<vattn::i64>(
-                    benchmark::RunSpecifiedBenchmarks()));
+                    benchmark::RunSpecifiedBenchmarks(&reporter)));
+    for (auto [name, ns] : reporter.ns_per_op) {
+        std::replace(name.begin(), name.end(), '/', '_');
+        json.metric(name + "_ns_wall", ns);
+    }
     benchmark::Shutdown();
     return 0;
 }

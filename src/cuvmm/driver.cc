@@ -127,15 +127,8 @@ Driver::cuMemAddressFree(Addr ptr, u64 size)
         return CuResult::kErrorInvalidValue;
     }
     // CUDA requires all mappings in the range to be gone.
-    if (device_.pageTable().numExtents() > 0) {
-        bool any = false;
-        device_.pageTable().forEachExtent(ptr, size,
-            [&](Addr, Addr, PhysAddr, PageSize, gpu::Access) {
-                any = true;
-            });
-        if (any) {
-            return CuResult::kErrorAlreadyMapped;
-        }
+    if (device_.pageTable().anyMapped(ptr, size)) {
+        return CuResult::kErrorAlreadyMapped;
     }
     auto status = device_.vaSpace().release(ptr);
     return status.isOk() ? CuResult::kSuccess
@@ -415,10 +408,7 @@ Driver::vMemFree(Addr ptr, u64 size)
     if (device_.vaSpace().reservationSize(ptr) != size) {
         return CuResult::kErrorInvalidValue;
     }
-    bool any = false;
-    device_.pageTable().forEachExtent(ptr, size,
-        [&](Addr, Addr, PhysAddr, PageSize, gpu::Access) { any = true; });
-    if (any) {
+    if (device_.pageTable().anyMapped(ptr, size)) {
         return CuResult::kErrorAlreadyMapped;
     }
     return device_.vaSpace().release(ptr).isOk()

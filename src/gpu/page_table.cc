@@ -1,9 +1,197 @@
 #include "gpu/page_table.hh"
 
+#include <sys/mman.h>
+
+#include <bit>
+#include <new>
+
 #include "common/logging.hh"
 
 namespace vattn::gpu
 {
+
+namespace
+{
+
+constexpr std::size_t kInitialSlots = 64;
+
+} // namespace
+
+void *
+mapAnonymous(std::size_t bytes)
+{
+    void *p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) {
+        throw std::bad_alloc();
+    }
+    return p;
+}
+
+void
+unmapAnonymous(void *p, std::size_t bytes)
+{
+    munmap(p, bytes);
+}
+
+PageTable::PageTable()
+{
+    rehash(kInitialSlots);
+}
+
+// --------------------------------------------------------------------
+// Frame index: open addressing with linear probing and backward-shift
+// deletion (no tombstones), kept at most half full.
+// --------------------------------------------------------------------
+
+std::size_t
+PageTable::findSlot(u64 frame) const
+{
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = home(frame);; i = (i + 1) & mask) {
+        if (slots_[i].frame == frame) {
+            return i;
+        }
+        if (slots_[i].frame == kEmptyFrame) {
+            return kNoSlot;
+        }
+    }
+}
+
+PageTable::Slot &
+PageTable::slotFor(u64 frame)
+{
+    if ((live_frames_ + 1) * 2 > slots_.size()) {
+        rehash(slots_.size() * 2);
+    }
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = home(frame);; i = (i + 1) & mask) {
+        Slot &slot = slots_[i];
+        if (slot.frame == frame) {
+            return slot;
+        }
+        if (slot.frame == kEmptyFrame) {
+            slot = Slot{frame, kNil};
+            ++live_frames_;
+            return slot;
+        }
+    }
+}
+
+void
+PageTable::eraseSlot(std::size_t index)
+{
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t j = (index + 1) & mask;
+         slots_[j].frame != kEmptyFrame; j = (j + 1) & mask) {
+        // Pull a later entry back into the hole unless that would put
+        // it before its home slot.
+        const std::size_t from_home = (j - home(slots_[j].frame)) & mask;
+        if (from_home >= ((j - index) & mask)) {
+            slots_[index] = slots_[j];
+            index = j;
+        }
+    }
+    slots_[index].frame = kEmptyFrame;
+    --live_frames_;
+}
+
+void
+PageTable::rehash(std::size_t capacity)
+{
+    decltype(slots_) old(capacity, Slot{kEmptyFrame, kNil});
+    old.swap(slots_);
+    hash_shift_ = 64 - static_cast<unsigned>(std::countr_zero(capacity));
+    const std::size_t mask = capacity - 1;
+    for (const Slot &slot : old) {
+        if (slot.frame == kEmptyFrame) {
+            continue;
+        }
+        std::size_t i = home(slot.frame);
+        while (slots_[i].frame != kEmptyFrame) {
+            i = (i + 1) & mask;
+        }
+        slots_[i] = slot;
+    }
+}
+
+// --------------------------------------------------------------------
+// Chains
+// --------------------------------------------------------------------
+
+u32
+PageTable::findIn(u64 frame, Addr start) const
+{
+    for (u32 i = chainHead(frame); i != kNil; i = nodes_[i].next) {
+        if (nodes_[i].start >= start) {
+            return nodes_[i].start == start ? i : kNil;
+        }
+    }
+    return kNil;
+}
+
+u32
+PageTable::findContaining(Addr va) const
+{
+    for (u32 i = chainHead(frameOf(va)); i != kNil; i = nodes_[i].next) {
+        if (nodes_[i].start > va) {
+            break;
+        }
+        if (va < nodes_[i].end) {
+            return i;
+        }
+    }
+    return kNil;
+}
+
+Addr
+PageTable::unlinkFrom(u64 frame, Addr start)
+{
+    const std::size_t slot = findSlot(frame);
+    panic_if(slot == kNoSlot, "page table frame vanished during unmap");
+    u32 *link = &slots_[slot].head;
+    while (*link != kNil && nodes_[*link].start != start) {
+        link = &nodes_[*link].next;
+    }
+    panic_if(*link == kNil, "extent vanished during unmap");
+    const u32 i = *link;
+    *link = nodes_[i].next;
+    nodes_[i].next = free_node_;
+    free_node_ = i;
+    if (slots_[slot].head == kNil) {
+        eraseSlot(slot);
+    }
+    return nodes_[i].end;
+}
+
+u32
+PageTable::allocNode()
+{
+    if (free_node_ == kNil) {
+        nodes_.emplace_back();
+        return static_cast<u32>(nodes_.size() - 1);
+    }
+    const u32 i = free_node_;
+    free_node_ = nodes_[i].next;
+    return i;
+}
+
+bool
+PageTable::coversWholeExtents(Addr va, Addr end) const
+{
+    for (Addr cursor = va; cursor != end;) {
+        const u32 i = findIn(frameOf(cursor), cursor);
+        if (i == kNil || nodes_[i].end > end) {
+            return false; // gap or extent crossing the range boundary
+        }
+        cursor = nodes_[i].end;
+    }
+    return true;
+}
+
+// --------------------------------------------------------------------
+// Public API
+// --------------------------------------------------------------------
 
 Status
 PageTable::map(Addr va, PhysAddr pa, u64 size, PageSize page,
@@ -18,25 +206,28 @@ PageTable::map(Addr va, PhysAddr pa, u64 size, PageSize page,
         return errorStatus(ErrorCode::kInvalidArgument,
                            "addresses not page aligned");
     }
-    return map_.insert(va, va + size, Extent{pa, page, access});
-}
-
-bool
-PageTable::coversWholeExtents(Addr va, u64 size) const
-{
-    Addr cursor = va;
-    bool bad = false;
-    map_.forEachIn(va, va + size, [&](const auto &e) {
-        if (bad) {
-            return;
+    const Addr end = va + size;
+    if (end <= va) {
+        return errorStatus(ErrorCode::kInvalidArgument,
+                           "range wraps the address space");
+    }
+    if (anyMapped(va, size)) {
+        return errorStatus(ErrorCode::kAlreadyExists,
+                           "range overlaps an existing mapping");
+    }
+    // One node per frame the extent touches, each linked in start order.
+    for (u64 f = frameOf(va); f <= frameOf(end - 1); ++f) {
+        const u32 added = allocNode();
+        u32 *link = &slotFor(f).head;
+        while (*link != kNil && nodes_[*link].start < va) {
+            link = &nodes_[*link].next;
         }
-        if (e.start != cursor || e.end > va + size) {
-            bad = true; // gap or extent crossing the range boundary
-            return;
-        }
-        cursor = e.end;
-    });
-    return !bad && cursor == va + size;
+        nodes_[added] = Node{va, end, pa, page, *link, access};
+        *link = added;
+    }
+    ++num_extents_;
+    mapped_bytes_ += size;
+    return Status::ok();
 }
 
 Status
@@ -47,18 +238,22 @@ PageTable::setAccess(Addr va, u64 size, Access access)
     }
     // Verify the range decomposes into whole extents first (no partial
     // side effects on failure, and access never leaks outside [va, size)).
-    if (!coversWholeExtents(va, size)) {
+    const Addr end = va + size;
+    if (end <= va || !coversWholeExtents(va, end)) {
         return errorStatus(ErrorCode::kFailedPrecondition,
                            "range not fully mapped as whole extents");
     }
-    // Validated: the extents tile [va, va + size) exactly, so each
-    // one starts where the previous ended.
-    for (Addr cursor = va; cursor < va + size;) {
-        const auto entry = map_.findExact(cursor);
-        panic_if(!entry, "extent vanished during setAccess");
-        Extent *extent = map_.findValue(cursor);
-        extent->access = access;
-        cursor = entry->end;
+    // Validated: the extents tile [va, end) exactly, so each one starts
+    // where the previous ended. Update every frame's copy.
+    for (Addr cursor = va; cursor != end;) {
+        const Addr start = cursor;
+        u64 f = frameOf(start);
+        do {
+            const u32 i = findIn(f, start);
+            panic_if(i == kNil, "extent vanished during setAccess");
+            nodes_[i].access = access;
+            cursor = nodes_[i].end;
+        } while (++f <= frameOf(cursor - 1));
     }
     return Status::ok();
 }
@@ -71,15 +266,19 @@ PageTable::unmap(Addr va, u64 size)
     }
     // The range must decompose into whole extents with no gaps and no
     // partial overlap at either boundary.
-    if (!coversWholeExtents(va, size)) {
+    const Addr end = va + size;
+    if (end <= va || !coversWholeExtents(va, end)) {
         return errorStatus(ErrorCode::kFailedPrecondition,
                            "range does not match mapped extents");
     }
-    for (Addr cursor = va; cursor < va + size;) {
-        const auto entry = map_.findExact(cursor);
-        panic_if(!entry, "extent vanished during unmap");
-        map_.eraseAt(cursor).expectOk("page table erase");
-        cursor = entry->end;
+    for (Addr cursor = va; cursor != end;) {
+        const Addr start = cursor;
+        u64 f = frameOf(start);
+        do {
+            cursor = unlinkFrom(f, start);
+        } while (++f <= frameOf(cursor - 1));
+        --num_extents_;
+        mapped_bytes_ -= cursor - start;
     }
     return Status::ok();
 }
@@ -87,37 +286,68 @@ PageTable::unmap(Addr va, u64 size)
 Result<Translation>
 PageTable::translate(Addr va) const
 {
-    auto entry = map_.find(va);
-    if (!entry) {
+    const u32 i = findContaining(va);
+    if (i == kNil) {
         return Result<Translation>(ErrorCode::kNotFound,
                                    "address not mapped");
     }
-    const Extent &extent = entry->value;
-    return Translation{
-        extent.phys + (va - entry->start),
-        entry->start,
-        entry->end,
-        extent.page,
-        extent.access,
-    };
+    const Node &n = nodes_[i];
+    return Translation{n.phys + (va - n.start), n.start, n.end, n.page,
+                       n.access};
 }
 
 bool
 PageTable::isAccessible(Addr va, u64 size) const
 {
-    Addr cursor = va;
-    bool ok = true;
-    map_.forEachIn(va, va + size, [&](const auto &e) {
-        if (!ok) {
-            return;
+    const Addr end = va + size;
+    if (end < va) {
+        return false;
+    }
+    for (Addr cursor = va; cursor < end;) {
+        const u32 i = findContaining(cursor);
+        if (i == kNil || nodes_[i].access != Access::kReadWrite) {
+            return false;
         }
-        if (e.start > cursor || e.value.access != Access::kReadWrite) {
-            ok = false;
-            return;
+        cursor = nodes_[i].end;
+    }
+    return true;
+}
+
+bool
+PageTable::anyMapped(Addr va, u64 size) const
+{
+    const Addr end = va + size;
+    if (num_extents_ == 0 || end <= va) {
+        return false;
+    }
+    auto hits = [&](u32 head) {
+        for (u32 i = head; i != kNil; i = nodes_[i].next) {
+            if (nodes_[i].start >= end) {
+                return false;
+            }
+            if (nodes_[i].end > va) {
+                return true;
+            }
         }
-        cursor = e.end;
-    });
-    return ok && cursor >= va + size;
+        return false;
+    };
+    const u64 first = frameOf(va);
+    const u64 last = frameOf(end - 1);
+    if (last - first < slots_.size()) {
+        for (u64 f = first; f <= last; ++f) {
+            if (hits(chainHead(f))) {
+                return true;
+            }
+        }
+        return false;
+    }
+    for (const Slot &slot : slots_) {
+        if (slot.frame != kEmptyFrame && slot.frame >= first &&
+            slot.frame <= last && hits(slot.head)) {
+            return true;
+        }
+    }
+    return false;
 }
 
 } // namespace vattn::gpu

@@ -36,6 +36,14 @@ VaSpace::insertFree(Addr start, u64 len)
     }
 }
 
+void
+VaSpace::insertReserved(Addr start, u64 len)
+{
+    const bool inserted = reserved_.emplace(start, start + len).second;
+    panic_if(!inserted, "VaSpace bookkeeping: reservation at ", start,
+             " already exists");
+}
+
 Result<Addr>
 VaSpace::reserve(u64 size, u64 alignment, Addr fixed)
 {
@@ -71,8 +79,7 @@ VaSpace::reserve(u64 size, u64 alignment, Addr fixed)
         free_.erase(it);
         insertFree(fstart, fixed - fstart);
         insertFree(fixed + size, (fstart + flen) - (fixed + size));
-        reserved_.insert(fixed, fixed + size, true)
-            .expectOk("VaSpace bookkeeping");
+        insertReserved(fixed, size);
         return fixed;
     }
 
@@ -87,8 +94,7 @@ VaSpace::reserve(u64 size, u64 alignment, Addr fixed)
         free_.erase(it);
         insertFree(fstart, aligned - fstart);
         insertFree(aligned + size, (fstart + flen) - (aligned + size));
-        reserved_.insert(aligned, aligned + size, true)
-            .expectOk("VaSpace bookkeeping");
+        insertReserved(aligned, size);
         return aligned;
     }
     return Result<Addr>(ErrorCode::kOutOfMemory, "virtual space exhausted");
@@ -97,31 +103,44 @@ VaSpace::reserve(u64 size, u64 alignment, Addr fixed)
 Status
 VaSpace::release(Addr addr)
 {
-    auto entry = reserved_.findExact(addr);
-    if (!entry) {
+    auto it = reserved_.find(addr);
+    if (it == reserved_.end()) {
         return errorStatus(ErrorCode::kNotFound,
                            "no reservation starts at this address");
     }
-    reserved_.eraseAt(addr).expectOk("VaSpace erase");
-    insertFree(entry->start, entry->end - entry->start);
+    insertFree(it->first, it->second - it->first);
+    reserved_.erase(it);
     return Status::ok();
 }
 
 u64
 VaSpace::reservationSize(Addr addr) const
 {
-    auto entry = reserved_.findExact(addr);
-    return entry ? entry->end - entry->start : 0;
+    auto it = reserved_.find(addr);
+    return it == reserved_.end() ? 0 : it->second - it->first;
 }
 
 bool
 VaSpace::isReserved(Addr addr, u64 size) const
 {
-    auto entry = reserved_.find(addr);
-    if (!entry) {
+    // The reservation containing addr is the last one starting at or
+    // before it.
+    auto it = reserved_.upper_bound(addr);
+    if (it == reserved_.begin()) {
         return false;
     }
-    return addr + size <= entry->end;
+    --it;
+    return addr < it->second && addr + size <= it->second;
+}
+
+u64
+VaSpace::reservedBytes() const
+{
+    u64 total = 0;
+    for (const auto &[start, end] : reserved_) {
+        total += end - start;
+    }
+    return total;
 }
 
 } // namespace vattn::gpu

@@ -10,7 +10,6 @@
 
 #include <map>
 
-#include "common/interval_map.hh"
 #include "common/status.hh"
 #include "common/types.hh"
 
@@ -42,7 +41,7 @@ class VaSpace
     /** Does [addr, addr+size) lie fully inside one reservation? */
     bool isReserved(Addr addr, u64 size) const;
 
-    u64 reservedBytes() const { return reserved_.coveredBytes(); }
+    u64 reservedBytes() const;
     std::size_t numReservations() const { return reserved_.size(); }
     Addr base() const { return base_; }
     u64 size() const { return size_; }
@@ -50,12 +49,13 @@ class VaSpace
   private:
     Addr base_;
     u64 size_;
-    /** reserved ranges; value is unused (bool). */
-    IntervalMap<bool> reserved_;
+    /** reserved ranges keyed by start -> end (exclusive). */
+    std::map<Addr, Addr> reserved_;
     /** free ranges keyed by start -> length; kept coalesced. */
     std::map<Addr, u64> free_;
 
     void insertFree(Addr start, u64 len);
+    void insertReserved(Addr start, u64 len);
 };
 
 } // namespace vattn::gpu

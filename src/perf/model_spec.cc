@@ -9,7 +9,17 @@ ModelSpec
 ModelSpec::yi6B()
 {
     return ModelSpec{
-        "Yi-6B", 32, 32, 4, 128, 4096, 11008, 64000, 200 * 1024,
+        .name = "Yi-6B",
+        .num_layers = 32,
+        .num_q_heads = 32,
+        .num_kv_heads = 4,
+        .head_dim = 128,
+        .hidden_size = 4096,
+        .intermediate_size = 11008,
+        .vocab_size = 64000,
+        .max_context_len = 200 * 1024,
+        .bytes_per_elem = 2,
+        .layer_window_tokens = {},
     };
 }
 
@@ -17,7 +27,17 @@ ModelSpec
 ModelSpec::llama3_8B()
 {
     return ModelSpec{
-        "Llama-3-8B", 32, 32, 8, 128, 4096, 14336, 128256, 200 * 1024,
+        .name = "Llama-3-8B",
+        .num_layers = 32,
+        .num_q_heads = 32,
+        .num_kv_heads = 8,
+        .head_dim = 128,
+        .hidden_size = 4096,
+        .intermediate_size = 14336,
+        .vocab_size = 128256,
+        .max_context_len = 200 * 1024,
+        .bytes_per_elem = 2,
+        .layer_window_tokens = {},
     };
 }
 
@@ -25,7 +45,17 @@ ModelSpec
 ModelSpec::yi34B()
 {
     return ModelSpec{
-        "Yi-34B", 60, 56, 8, 128, 7168, 20480, 64000, 200 * 1024,
+        .name = "Yi-34B",
+        .num_layers = 60,
+        .num_q_heads = 56,
+        .num_kv_heads = 8,
+        .head_dim = 128,
+        .hidden_size = 7168,
+        .intermediate_size = 20480,
+        .vocab_size = 64000,
+        .max_context_len = 200 * 1024,
+        .bytes_per_elem = 2,
+        .layer_window_tokens = {},
     };
 }
 
@@ -33,7 +63,17 @@ ModelSpec
 ModelSpec::llama3_70B()
 {
     return ModelSpec{
-        "Llama-3-70B", 80, 64, 8, 128, 8192, 28672, 128256, 128 * 1024,
+        .name = "Llama-3-70B",
+        .num_layers = 80,
+        .num_q_heads = 64,
+        .num_kv_heads = 8,
+        .head_dim = 128,
+        .hidden_size = 8192,
+        .intermediate_size = 28672,
+        .vocab_size = 128256,
+        .max_context_len = 128 * 1024,
+        .bytes_per_elem = 2,
+        .layer_window_tokens = {},
     };
 }
 
@@ -44,7 +84,17 @@ ModelSpec::gpt3_175B()
     // a 2-matrix GELU MLP of width 4h; numParams() assumes a 3-matrix
     // SwiGLU MLP, so we record the parameter-equivalent width 8h/3.
     return ModelSpec{
-        "GPT-3-175B", 96, 96, 96, 128, 12288, 32768, 50257, 16 * 1024,
+        .name = "GPT-3-175B",
+        .num_layers = 96,
+        .num_q_heads = 96,
+        .num_kv_heads = 96,
+        .head_dim = 128,
+        .hidden_size = 12288,
+        .intermediate_size = 32768,
+        .vocab_size = 50257,
+        .max_context_len = 16 * 1024,
+        .bytes_per_elem = 2,
+        .layer_window_tokens = {},
     };
 }
 

@@ -166,6 +166,59 @@ TEST_F(DriverTest, AddressFreeRequiresUnmapped)
     driver_.cuMemRelease(handle);
 }
 
+TEST_F(DriverTest, TerabyteReservationFreeSeesSparseMappings)
+{
+    // vAttention reserves terabytes per KV buffer (§5.1.3); freeing one
+    // must find the few mapped extents without walking every frame.
+    Addr neighbour = 0;
+    ASSERT_EQ(driver_.cuMemAddressReserve(&neighbour, 2 * MiB),
+              CuResult::kSuccess);
+    MemHandle outside = kInvalidHandle;
+    ASSERT_EQ(driver_.cuMemCreate(&outside, 2 * MiB), CuResult::kSuccess);
+    ASSERT_EQ(driver_.cuMemMap(neighbour, 2 * MiB, 0, outside),
+              CuResult::kSuccess);
+
+    Addr va = 0;
+    ASSERT_EQ(driver_.cuMemAddressReserve(&va, 1 * TiB),
+              CuResult::kSuccess);
+    const Addr offsets[] = {0, 512 * GiB, 1 * TiB - 2 * MiB};
+    std::vector<MemHandle> handles;
+    for (const Addr off : offsets) {
+        MemHandle handle = kInvalidHandle;
+        ASSERT_EQ(driver_.cuMemCreate(&handle, 2 * MiB),
+                  CuResult::kSuccess);
+        ASSERT_EQ(driver_.cuMemMap(va + off, 2 * MiB, 0, handle),
+                  CuResult::kSuccess);
+        handles.push_back(handle);
+    }
+    for (std::size_t i = 0; i < handles.size(); ++i) {
+        EXPECT_EQ(driver_.cuMemAddressFree(va, 1 * TiB),
+                  CuResult::kErrorAlreadyMapped);
+        ASSERT_EQ(driver_.cuMemUnmap(va + offsets[i], 2 * MiB),
+                  CuResult::kSuccess);
+        ASSERT_EQ(driver_.cuMemRelease(handles[i]), CuResult::kSuccess);
+    }
+    // Only the neighbouring reservation's mapping is left.
+    EXPECT_EQ(driver_.cuMemAddressFree(va, 1 * TiB), CuResult::kSuccess);
+
+    // Same check on the vMem path with a 64KB page-group.
+    ASSERT_EQ(driver_.vMemReserve(&va, 2 * TiB), CuResult::kSuccess);
+    MemHandle small = kInvalidHandle;
+    ASSERT_EQ(driver_.vMemCreate(&small, PageGroup::k64KB),
+              CuResult::kSuccess);
+    ASSERT_EQ(driver_.vMemMap(va + 2 * TiB - 64 * KiB, small),
+              CuResult::kSuccess);
+    EXPECT_EQ(driver_.vMemFree(va, 2 * TiB),
+              CuResult::kErrorAlreadyMapped);
+    ASSERT_EQ(driver_.vMemRelease(small), CuResult::kSuccess);
+    EXPECT_EQ(driver_.vMemFree(va, 2 * TiB), CuResult::kSuccess);
+
+    ASSERT_EQ(driver_.cuMemUnmap(neighbour, 2 * MiB), CuResult::kSuccess);
+    ASSERT_EQ(driver_.cuMemRelease(outside), CuResult::kSuccess);
+    EXPECT_EQ(driver_.cuMemAddressFree(neighbour, 2 * MiB),
+              CuResult::kSuccess);
+}
+
 TEST_F(DriverTest, PhysicalExhaustionReturnsOom)
 {
     // Device has 64MB; create handles until it refuses.

@@ -108,5 +108,29 @@ TEST(VaSpace, IsReservedChecksWholeRange)
     EXPECT_FALSE(space.isReserved(r.value() + 8 * KiB, 1));
 }
 
+TEST(VaSpace, LookupsOutsideAndInsideReservations)
+{
+    VaSpace space(0x10000, 1 * MiB);
+    EXPECT_FALSE(space.isReserved(0x10000, 1)); // nothing reserved yet
+    auto a = space.reserve(64 * KiB, 4 * KiB, 0x20000);
+    auto b = space.reserve(64 * KiB, 4 * KiB, 0x40000);
+    ASSERT_TRUE(a.isOk());
+    ASSERT_TRUE(b.isOk());
+    EXPECT_EQ(space.numReservations(), 2u);
+    EXPECT_FALSE(space.isReserved(0x1F000, 4 * KiB)); // below the first
+    EXPECT_FALSE(space.isReserved(0x30000, 4 * KiB)); // between them
+    EXPECT_TRUE(space.isReserved(0x40000 + 60 * KiB, 4 * KiB));
+    // Size and release need the exact start, not an inner address.
+    EXPECT_EQ(space.reservationSize(0x20000 + 4 * KiB), 0u);
+    EXPECT_EQ(space.release(0x20000 + 4 * KiB).code(),
+              ErrorCode::kNotFound);
+    ASSERT_TRUE(space.release(0x20000).isOk());
+    EXPECT_EQ(space.release(0x20000).code(), ErrorCode::kNotFound);
+    EXPECT_FALSE(space.isReserved(0x20000, 4 * KiB));
+    EXPECT_EQ(space.reservationSize(0x20000), 0u);
+    EXPECT_EQ(space.numReservations(), 1u);
+    EXPECT_EQ(space.reservedBytes(), 64 * KiB);
+}
+
 } // namespace
 } // namespace vattn::gpu

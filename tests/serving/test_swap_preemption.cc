@@ -145,10 +145,9 @@ TEST(SwapPolicyCost, AutoPrefersRecomputeWhenTheModelSaysSo)
 
 TEST(VictimPolicy, DefaultIsLifo)
 {
-    EXPECT_EQ(EngineConfig{}.preemption_victim,
-              PreemptionVictim::kLifo);
-    EXPECT_EQ(EngineConfig{}.preemption_policy,
-              PreemptionPolicy::kRecompute);
+    const EngineConfig defaults;
+    EXPECT_EQ(defaults.preemption_victim, PreemptionVictim::kLifo);
+    EXPECT_EQ(defaults.preemption_policy, PreemptionPolicy::kRecompute);
 }
 
 TEST(VictimPolicy, LifoPreemptsTheMostRecentlyAdmitted)
