@@ -94,6 +94,17 @@ struct Table8Case
     i64 expect_tokens;
 };
 
+/**
+ * Names each case after its table cell. Without it gtest prints the
+ * struct's raw bytes, model-name pointer included, and the test names
+ * change from one build or run to the next.
+ */
+void
+PrintTo(const Table8Case &c, std::ostream *os)
+{
+    *os << c.model << " TP-" << c.tp << " " << toString(c.group);
+}
+
 class Table8Test : public ::testing::TestWithParam<Table8Case>
 {
 };
