@@ -2,9 +2,9 @@
  * @file
  * google-benchmark micro-benchmarks of the substrates themselves
  * (real wall time, not modelled time): functional attention kernels
- * over the three KV layouts, the buddy allocator, the page table and
- * the VMM driver fast paths. These guard against performance
- * regressions in the simulator itself.
+ * over the three KV layouts, the buddy allocator, the page table, the
+ * VMM driver fast paths, the KV allocator and the vAttention step.
+ * These guard against performance regressions in the simulator itself.
  */
 
 #include <benchmark/benchmark.h>
@@ -14,9 +14,11 @@
 #include "attn/kernels.hh"
 #include "bench_util.hh"
 #include "common/rng.hh"
+#include "core/vattention.hh"
 #include "cuvmm/driver.hh"
 #include "gpu/buddy_allocator.hh"
 #include "paged/paged_kv_cache.hh"
+#include "perf/model_spec.hh"
 
 namespace vattn
 {
@@ -236,6 +238,80 @@ BM_PageTableTranslate(benchmark::State &state)
     }
 }
 BENCHMARK(BM_PageTableTranslate);
+
+/** Yi-6B on one worker (32 layers: 64 buffers, 1KB per token per
+ *  buffer, so 64 tokens per 64KB group) with 400 request slots. */
+core::Config
+yi6BConfig()
+{
+    const perf::ModelSpec model = perf::ModelSpec::yi6B();
+    core::Config config;
+    config.num_layers = model.num_layers;
+    config.num_kv_heads = model.kvHeadsPerWorker(1);
+    config.head_dim = model.head_dim;
+    config.bytes_per_elem = 2;
+    config.max_batch_size = 400;
+    config.max_context_len = model.max_context_len;
+    config.page_group = PageGroup::k64KB;
+    config.use_driver_extension = true;
+    config.eager_allocation = false;
+    config.overlap_allocation = false;
+    // One group per buffer for every slot, plus slack.
+    config.phys_budget_bytes = 2 * GiB;
+    return config;
+}
+
+void
+BM_VAttentionStepSteadyDecode(benchmark::State &state)
+{
+    // Every slot active and decoding inside its first page-group: each
+    // step() is the per-slot readiness check alone, no mapping.
+    gpu::GpuDevice device;
+    cuvmm::Driver driver(device);
+    const core::Config config = yi6BConfig();
+    core::VAttention vattn(driver, config);
+    const i64 tpg = vattn.geometry().tokensPerGroup();
+    std::vector<i64> lens(static_cast<std::size_t>(config.max_batch_size));
+    for (int slot = 0; slot < config.max_batch_size; ++slot) {
+        vattn.allocReqId().value();
+        lens[static_cast<std::size_t>(slot)] = 1 + slot % tpg;
+    }
+    vattn.step(lens).status.expectOk("bench warm step");
+    for (auto _ : state) {
+        // Advance one token, wrapping inside the group: [1, tpg].
+        for (i64 &len : lens) {
+            len = len % tpg + 1;
+        }
+        benchmark::DoNotOptimize(vattn.step(lens).handles_mapped);
+    }
+    state.SetItemsProcessed(state.iterations() * config.max_batch_size);
+}
+BENCHMARK(BM_VAttentionStepSteadyDecode);
+
+void
+BM_KvAllocatorEnsureAcrossBoundary(benchmark::State &state)
+{
+    // One group row (a group on each of the 64 buffers) per
+    // ensureTokens; the untimed shrinkTail puts the row back.
+    gpu::GpuDevice device;
+    cuvmm::Driver driver(device);
+    core::Config config = yi6BConfig();
+    config.max_batch_size = 1;
+    config.phys_budget_bytes = 64 * MiB;
+    core::PagePool pool(driver, config.page_group,
+                        config.phys_budget_bytes);
+    core::KvAllocator allocator(driver, config, pool);
+    const i64 tpg = allocator.geometry().tokensPerGroup();
+    allocator.ensureTokens(0, tpg).expectOk("bench first group");
+    for (auto _ : state) {
+        allocator.ensureTokens(0, tpg + 1).expectOk("bench grow");
+        state.PauseTiming();
+        allocator.shrinkTail(0).expectOk("bench shrink");
+        state.ResumeTiming();
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_KvAllocatorEnsureAcrossBoundary);
 
 /** Console output as usual, plus each run's wall ns/op for the JSON. */
 class WallCapture : public benchmark::ConsoleReporter

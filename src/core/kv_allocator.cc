@@ -97,8 +97,10 @@ KvAllocator::KvAllocator(cuvmm::Driver &driver, const Config &config,
         }
     }
 
-    for (auto &slot : slots_) {
-        slot.buffers.resize(static_cast<std::size_t>(nbuf));
+    for (int slot = 0; slot < config_.max_batch_size; ++slot) {
+        slots_[static_cast<std::size_t>(slot)].buffers.resize(
+            static_cast<std::size_t>(nbuf));
+        refreshSlot(slot);
     }
 }
 
@@ -168,17 +170,6 @@ KvAllocator::groupsMapped(int slot) const
 }
 
 i64
-KvAllocator::mappedHandles(int slot) const
-{
-    const auto &mappings = slots_[static_cast<std::size_t>(slot)];
-    i64 total = 0;
-    for (const BufferMappings &buffer : mappings.buffers) {
-        total += buffer.mapped();
-    }
-    return total;
-}
-
-i64
 KvAllocator::bufferLead(int slot, int buffer) const
 {
     return slots_[static_cast<std::size_t>(slot)]
@@ -204,6 +195,52 @@ KvAllocator::prefixGroupsMapped(int slot) const
                           buffer.lead > 0 ? i64{0} : buffer.end());
     }
     return prefix;
+}
+
+KvAllocator::Readiness
+KvAllocator::readinessOf(const SlotMappings &mappings) const
+{
+    // end < ceil(t · tokenBytes / groupBytes)  <=>
+    // t > end · groupBytes / tokenBytes, so grow_at is one past the
+    // floor of the least end / tokenBytes (times groupBytes). Compare
+    // the ratios by cross-multiplying and divide once.
+    u64 least_end = static_cast<u64>(mappings.buffers.front().end());
+    u64 least_token_bytes = geom_.buffer(0).token_bytes;
+    i64 trim_at = std::numeric_limits<i64>::max();
+    Readiness readiness;
+    for (int b = 0; b < geom_.numBuffers(); ++b) {
+        const BufferMappings &buffer =
+            mappings.buffers[static_cast<std::size_t>(b)];
+        const KvGeometry::BufferGeometry &geo = geom_.buffer(b);
+        const u64 end = static_cast<u64>(buffer.end());
+        if (end * least_token_bytes < least_end * geo.token_bytes) {
+            least_end = end;
+            least_token_bytes = geo.token_bytes;
+        }
+        // lead < min(deadLeadGroups(t), end), deadLeadGroups(t) being
+        // (t − window) / tokensPerGroup past the window:
+        //   <=>  lead < end  and  t >= window + (lead + 1) · tpg.
+        if (geo.window_tokens > 0 && buffer.lead < buffer.end()) {
+            trim_at = std::min(trim_at,
+                               geo.window_tokens +
+                                   (buffer.lead + 1) *
+                                       geo.tokens_per_group);
+        }
+        readiness.mapped += buffer.mapped();
+    }
+    readiness.grow_at =
+        static_cast<i64>(least_end * geom_.groupBytes() /
+                         least_token_bytes) +
+        1;
+    readiness.work_at = std::min(readiness.grow_at, trim_at);
+    return readiness;
+}
+
+void
+KvAllocator::refreshSlot(int slot)
+{
+    SlotMappings &mappings = slots_[static_cast<std::size_t>(slot)];
+    mappings.readiness = readinessOf(mappings);
 }
 
 Status
@@ -276,7 +313,7 @@ KvAllocator::growRows(int slot, const std::vector<i64> &targets,
     const int nbuf = geom_.numBuffers();
     for (int b = 0; b < nbuf; ++b) {
         panic_if(targets[static_cast<std::size_t>(b)] >
-                     geom_.maxGroupsPerRequest(geom_.layerOfBuffer(b)),
+                     geom_.buffer(b).max_groups,
                  "grow beyond the max context length");
     }
     i64 rows = 0;
@@ -325,10 +362,12 @@ KvAllocator::growRows(int slot, const std::vector<i64> &targets,
                     .handles.pop_back();
                 --total_mapped_;
             }
+            refreshSlot(slot);
             return failure;
         }
         ++rows;
     }
+    refreshSlot(slot);
     return Status::ok();
 }
 
@@ -382,39 +421,6 @@ KvAllocator::ensureTokens(int slot, i64 tokens)
     return growRows(slot, targets, -1);
 }
 
-bool
-KvAllocator::needsEnsureTokens(int slot, i64 tokens) const
-{
-    const auto &mappings = slots_[static_cast<std::size_t>(slot)];
-    for (int b = 0; b < geom_.numBuffers(); ++b) {
-        const BufferMappings &buffer =
-            mappings.buffers[static_cast<std::size_t>(b)];
-        const int layer = geom_.layerOfBuffer(b);
-        if (buffer.end() < geom_.groupsForTokens(layer, tokens)) {
-            return true;
-        }
-        const i64 target_lead = geom_.deadLeadGroups(layer, tokens);
-        if (buffer.lead < std::min(target_lead, buffer.end())) {
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-KvAllocator::needsGrowthForTokens(int slot, i64 tokens) const
-{
-    const auto &mappings = slots_[static_cast<std::size_t>(slot)];
-    for (int b = 0; b < geom_.numBuffers(); ++b) {
-        const int layer = geom_.layerOfBuffer(b);
-        if (mappings.buffers[static_cast<std::size_t>(b)].end() <
-            geom_.groupsForTokens(layer, tokens)) {
-            return true;
-        }
-    }
-    return false;
-}
-
 Status
 KvAllocator::growOneRowForTokens(int slot, i64 tokens)
 {
@@ -462,6 +468,7 @@ void
 KvAllocator::resetWindowTrimmed(int slot)
 {
     auto &mappings = slots_[static_cast<std::size_t>(slot)];
+    bool reset = false;
     for (int b = 0; b < geom_.numBuffers(); ++b) {
         BufferMappings &buffer =
             mappings.buffers[static_cast<std::size_t>(b)];
@@ -474,6 +481,12 @@ KvAllocator::resetWindowTrimmed(int slot)
         total_mapped_ -= buffer.mapped();
         buffer.handles.clear();
         buffer.lead = 0;
+        reset = true;
+    }
+    if (reset) {
+        // Every slot reuse calls this; skip the O(buffers) refresh
+        // when nothing was trimmed.
+        refreshSlot(slot);
     }
 }
 
@@ -512,6 +525,7 @@ KvAllocator::aliasFrom(int dst, int src, i64 groups)
             ++aliased_mappings_;
         }
     }
+    refreshSlot(dst);
     return Status::ok();
 }
 
@@ -613,6 +627,7 @@ KvAllocator::shrinkTail(int slot)
             buffer.lead = 0;
         }
     }
+    refreshSlot(slot);
     return Status::ok();
 }
 
@@ -629,6 +644,7 @@ KvAllocator::releaseAll(int slot)
         buffer.handles.clear();
         buffer.lead = 0;
     }
+    refreshSlot(slot);
 }
 
 u64
@@ -654,12 +670,29 @@ KvAllocator::auditInto(audit::AuditReport &report) const
     const bool uniform = !geom_.hasWindows();
     /** Times each physical handle appears across all slot tables. */
     std::unordered_map<cuvmm::MemHandle, i64> mapping_counts;
+    i64 recount = 0;
     for (int slot = 0; slot < config_.max_batch_size; ++slot) {
         const auto &mappings = slots_[static_cast<std::size_t>(slot)];
         const i64 frontier = groupsMapped(slot);
+        // The O(1) readiness queries answer from cached thresholds; a
+        // mutator that skipped refreshSlot leaves them stale.
+        const Readiness fresh = readinessOf(mappings);
+        const Readiness &cached = mappings.readiness;
+        if (fresh.grow_at != cached.grow_at ||
+            fresh.work_at != cached.work_at ||
+            fresh.mapped != cached.mapped) {
+            report.fail("kv_allocator: slot ", slot,
+                        " caches grow_at/work_at/mapped ",
+                        cached.grow_at, "/", cached.work_at, "/",
+                        cached.mapped, " but its buffer table gives ",
+                        fresh.grow_at, "/", fresh.work_at, "/",
+                        fresh.mapped, " — a mutator skipped the "
+                        "readiness refresh");
+        }
         for (int b = 0; b < nbuf; ++b) {
             const BufferMappings &buffer =
                 mappings.buffers[static_cast<std::size_t>(b)];
+            recount += buffer.mapped();
             if (uniform &&
                 (buffer.lead != 0 || buffer.end() != frontier)) {
                 report.fail("kv_allocator: slot ", slot, " buffer ", b,
@@ -748,10 +781,6 @@ KvAllocator::auditInto(audit::AuditReport &report) const
                  "kv_allocator: aliased-mappings ledger is ",
                  aliased_mappings_, " but per-handle counts show ",
                  aliased, " mappings beyond one per handle");
-    i64 recount = 0;
-    for (int slot = 0; slot < config_.max_batch_size; ++slot) {
-        recount += mappedHandles(slot);
-    }
     report.check(recount == total_mapped_,
                  "kv_allocator: total-mapped ledger is ", total_mapped_,
                  " but a full recount over the slot tables finds ",

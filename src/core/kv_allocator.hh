@@ -72,8 +72,11 @@ class KvAllocator
 
     /** Page-group mappings the slot holds across all buffers
      *  (Σ end − lead; per-layer trims make this the real footprint,
-     *  where groupsMapped * numBuffers over-counts). */
-    i64 mappedHandles(int slot) const;
+     *  where groupsMapped * numBuffers over-counts). O(1): cached. */
+    i64 mappedHandles(int slot) const
+    {
+        return slotAt(slot).readiness.mapped;
+    }
 
     /** First mapped group of the slot in @p buffer (window trims
      *  advance it past 0). */
@@ -104,13 +107,20 @@ class KvAllocator
      */
     Status ensureTokens(int slot, i64 tokens);
 
-    /** Would ensureTokens(slot, tokens) perform any work? */
-    bool needsEnsureTokens(int slot, i64 tokens) const;
+    /** Would ensureTokens(slot, tokens) perform any work? O(1): one
+     *  comparison against the slot's cached threshold. */
+    bool needsEnsureTokens(int slot, i64 tokens) const
+    {
+        return tokens >= slotAt(slot).readiness.work_at;
+    }
 
     /** Any buffer below its frontier for @p tokens? (Growth only —
      *  ignores pending trims; the overlap prefetcher must never trim
-     *  groups the current iteration still reads.) */
-    bool needsGrowthForTokens(int slot, i64 tokens) const;
+     *  groups the current iteration still reads.) O(1). */
+    bool needsGrowthForTokens(int slot, i64 tokens) const
+    {
+        return tokens >= slotAt(slot).readiness.grow_at;
+    }
 
     /** Map the single lowest missing group row toward the frontier
      *  for @p tokens (incremental overlap-allocation step). */
@@ -231,10 +241,40 @@ class KvAllocator
         i64 mapped() const { return end() - lead; }
     };
 
+    /** The readiness thresholds cached per slot. Both queries are
+     *  monotone in the context length, so each reduces to the least
+     *  context at which it first holds. */
+    struct Readiness
+    {
+        /** Least context leaving some buffer below its frontier:
+         *  min over buffers of floor(end · groupBytes / tokenBytes)
+         *  + 1. */
+        i64 grow_at = 1;
+        /** Least context at which ensureTokens does any work:
+         *  min(grow_at, trim_at), trim_at being the least context
+         *  whose window kills a windowed buffer's lead group
+         *  (window + (lead + 1) · tokensPerGroup, if lead < end). */
+        i64 work_at = 1;
+        i64 mapped = 0; ///< Σ end − lead over the buffers
+    };
+
     struct SlotMappings
     {
         std::vector<BufferMappings> buffers;
+        Readiness readiness; ///< cached from buffers by refreshSlot
     };
+
+    const SlotMappings &slotAt(int slot) const
+    {
+        return slots_[static_cast<std::size_t>(slot)];
+    }
+
+    /** Derive a slot's thresholds from its buffer table. */
+    Readiness readinessOf(const SlotMappings &mappings) const;
+
+    /** Re-cache the slot's thresholds. Every mutator that changes a
+     *  buffer's lead or end calls this once before it returns. */
+    void refreshSlot(int slot);
 
     /** Map group rows until every buffer reaches its target end
      *  (group-major, buffer-inner — the historical growTo order);

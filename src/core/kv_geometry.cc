@@ -6,15 +6,18 @@ namespace vattn::core
 {
 
 KvGeometry::KvGeometry(const Config &config)
-    : config_(config)
+    : config_(config), group_bytes_(bytes(config.page_group))
 {
+    // Resolved per-layer specs; one when slicing folds the model into
+    // one logical layer.
     const int layers = config_.tensor_slicing ? 1 : config_.num_layers;
-    specs_.reserve(static_cast<std::size_t>(layers));
+    std::vector<LayerKvSpec> specs;
+    specs.reserve(static_cast<std::size_t>(layers));
     for (int layer = 0; layer < layers; ++layer) {
-        specs_.push_back(config_.layerSpec(layer));
+        specs.push_back(config_.layerSpec(layer));
     }
-    const LayerKvSpec &first = specs_.front();
-    for (const LayerKvSpec &spec : specs_) {
+    const LayerKvSpec &first = specs.front();
+    for (const LayerKvSpec &spec : specs) {
         if (spec.kind == AttentionKind::kSlidingWindow) {
             has_windows_ = true;
         }
@@ -24,22 +27,37 @@ KvGeometry::KvGeometry(const Config &config)
             uniform_footprint_ = false;
         }
     }
-}
 
-int
-KvGeometry::numBuffers() const
-{
-    return config_.tensor_slicing ? 2 : 2 * config_.num_layers;
-}
-
-int
-KvGeometry::layerOfBuffer(int buffer) const
-{
-    if (config_.tensor_slicing) {
-        return 0;
+    // K buffers 0..N-1 then V buffers N..2N-1 (slicing: one K and one
+    // V buffer, both holding the single folded layer).
+    const int nbuf = 2 * layers;
+    buffers_.reserve(static_cast<std::size_t>(nbuf));
+    for (int buffer = 0; buffer < nbuf; ++buffer) {
+        const int layer = buffer < layers ? buffer : buffer - layers;
+        const LayerKvSpec &spec =
+            specs[static_cast<std::size_t>(layer)];
+        BufferGeometry geo;
+        geo.layer = layer;
+        geo.token_bytes = static_cast<u64>(spec.kv_heads) *
+                          static_cast<u64>(spec.head_dim) *
+                          static_cast<u64>(spec.bytes_per_elem);
+        if (config_.tensor_slicing) {
+            geo.token_bytes *= static_cast<u64>(config_.num_layers);
+        }
+        // Guarded so an invalid spec still constructs; validate()
+        // reports it as tokensPerGroup < 1.
+        geo.tokens_per_group =
+            geo.token_bytes == 0
+                ? 0
+                : static_cast<i64>(group_bytes_ / geo.token_bytes);
+        geo.window_tokens = spec.kind == AttentionKind::kSlidingWindow
+                                ? spec.window_tokens
+                                : 0;
+        geo.max_groups = static_cast<i64>(ceilDiv(
+            static_cast<u64>(config_.max_context_len) * geo.token_bytes,
+            group_bytes_));
+        buffers_.push_back(geo);
     }
-    return buffer < config_.num_layers ? buffer
-                                       : buffer - config_.num_layers;
 }
 
 bool
@@ -55,35 +73,6 @@ KvGeometry::uniformFootprint() const
 }
 
 i64
-KvGeometry::windowTokens(int layer) const
-{
-    const LayerKvSpec &spec =
-        specs_[static_cast<std::size_t>(layer)];
-    return spec.kind == AttentionKind::kSlidingWindow
-               ? spec.window_tokens
-               : 0;
-}
-
-u64
-KvGeometry::tokenBytesPerBuffer(int layer) const
-{
-    const LayerKvSpec &spec =
-        specs_[static_cast<std::size_t>(layer)];
-    u64 per_layer = static_cast<u64>(spec.kv_heads) *
-                    static_cast<u64>(spec.head_dim) *
-                    static_cast<u64>(spec.bytes_per_elem);
-    return config_.tensor_slicing
-               ? per_layer * static_cast<u64>(config_.num_layers)
-               : per_layer;
-}
-
-i64
-KvGeometry::tokensPerGroup(int layer) const
-{
-    return static_cast<i64>(groupBytes() / tokenBytesPerBuffer(layer));
-}
-
-i64
 KvGeometry::groupsForTokens(int layer, i64 tokens) const
 {
     if (tokens <= 0) {
@@ -91,7 +80,7 @@ KvGeometry::groupsForTokens(int layer, i64 tokens) const
     }
     const u64 bytes_needed =
         static_cast<u64>(tokens) * tokenBytesPerBuffer(layer);
-    return static_cast<i64>(ceilDiv(bytes_needed, groupBytes()));
+    return static_cast<i64>(ceilDiv(bytes_needed, group_bytes_));
 }
 
 i64
@@ -137,7 +126,7 @@ KvGeometry::bufferBytesFor(int buffer) const
 i64
 KvGeometry::maxGroupsPerRequest(int layer) const
 {
-    return groupsForTokens(layer, config_.max_context_len);
+    return layerGeometry(layer).max_groups;
 }
 
 i64
@@ -180,11 +169,11 @@ u64
 KvGeometry::tokenBytesTotal() const
 {
     requireUniformFootprint("tokenBytesTotal");
-    const LayerKvSpec &first = specs_.front();
-    return 2 * static_cast<u64>(config_.num_layers) *
-           static_cast<u64>(first.kv_heads) *
-           static_cast<u64>(first.head_dim) *
-           static_cast<u64>(first.bytes_per_elem);
+    u64 total = 0;
+    for (const BufferGeometry &geo : buffers_) {
+        total += geo.token_bytes;
+    }
+    return total;
 }
 
 u64

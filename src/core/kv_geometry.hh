@@ -30,16 +30,40 @@ namespace vattn::core
 class KvGeometry
 {
   public:
+    /** One layer's per-token quantities, resolved once at
+     *  construction; buffer(b) repeats them per virtual buffer so the
+     *  allocator's per-buffer loops do no spec arithmetic. */
+    struct BufferGeometry
+    {
+        int layer = 0;           ///< layer whose KV the buffer holds
+        u64 token_bytes = 0;     ///< tokenBytesPerBuffer(layer)
+        i64 tokens_per_group = 0; ///< tokensPerGroup(layer)
+        i64 window_tokens = 0;   ///< windowTokens(layer); 0 = full
+        i64 max_groups = 0;      ///< maxGroupsPerRequest(layer)
+    };
+
     explicit KvGeometry(const Config &config);
 
     /** Number of virtual buffers: 2N per-layer tensors, or 2 in the
      *  tensor-slicing layout (§8.2). */
-    int numBuffers() const;
+    int numBuffers() const
+    {
+        return static_cast<int>(buffers_.size());
+    }
 
     /** The layer whose KV lives in buffer @p buffer (K buffers are
      *  0..N-1, V buffers N..2N-1; slicing folds everything into
      *  layer 0's shape). */
-    int layerOfBuffer(int buffer) const;
+    int layerOfBuffer(int buffer) const
+    {
+        return this->buffer(buffer).layer;
+    }
+
+    /** Resolved geometry of virtual buffer @p buffer. */
+    const BufferGeometry &buffer(int buffer) const
+    {
+        return buffers_[static_cast<std::size_t>(buffer)];
+    }
 
     /** Any sliding-window layer in the spec list? */
     bool hasWindows() const;
@@ -49,15 +73,24 @@ class KvGeometry
     bool uniformFootprint() const;
 
     /** Sliding-window width of @p layer; 0 for full attention. */
-    i64 windowTokens(int layer) const;
+    i64 windowTokens(int layer) const
+    {
+        return layerGeometry(layer).window_tokens;
+    }
 
     // ---- Per-layer quantities (the authority) ------------------------
 
     /** Bytes one token contributes to ONE buffer of @p layer. */
-    u64 tokenBytesPerBuffer(int layer) const;
+    u64 tokenBytesPerBuffer(int layer) const
+    {
+        return layerGeometry(layer).token_bytes;
+    }
 
     /** Tokens covered by one page-group in one buffer of @p layer. */
-    i64 tokensPerGroup(int layer) const;
+    i64 tokensPerGroup(int layer) const
+    {
+        return layerGeometry(layer).tokens_per_group;
+    }
 
     /** Page-groups (per buffer) of @p layer needed to reach a context
      *  of @p tokens tokens — the frontier, dead groups included. */
@@ -145,16 +178,23 @@ class KvGeometry
      *  (mapped bytes minus live-token payload). */
     u64 wasteBytesForTokens(i64 tokens) const;
 
-    u64 groupBytes() const { return bytes(config_.page_group); }
+    u64 groupBytes() const { return group_bytes_; }
 
   private:
     /** Panic unless the per-token footprint is layer-uniform. */
     void requireUniformFootprint(const char *accessor) const;
 
+    /** Layer @p layer's entry: buffer @p layer is its K buffer (layer
+     *  0's when slicing folds the model into one logical layer). */
+    const BufferGeometry &layerGeometry(int layer) const
+    {
+        return buffers_[static_cast<std::size_t>(layer)];
+    }
+
     Config config_;
-    /** Resolved per-layer specs; size num_layers (or 1 when
-     *  slicing folds the model into one logical layer). */
-    std::vector<LayerKvSpec> specs_;
+    u64 group_bytes_;
+    /** One entry per virtual buffer (numBuffers()). */
+    std::vector<BufferGeometry> buffers_;
     bool has_windows_ = false;
     bool uniform_footprint_ = true;
 };

@@ -55,20 +55,6 @@ ReqSlots::unlinkCached(int slot)
     }
 }
 
-void
-ReqSlots::checkSlot(int slot) const
-{
-    panic_if(slot < 0 || slot >= capacity_, "reqId ", slot,
-             " out of range [0, ", capacity_, ")");
-}
-
-SlotState
-ReqSlots::state(int slot) const
-{
-    checkSlot(slot);
-    return states_[static_cast<std::size_t>(slot)];
-}
-
 Status
 ReqSlots::activate(int slot)
 {

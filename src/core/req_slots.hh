@@ -19,6 +19,7 @@
 
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/status.hh"
 #include "common/types.hh"
 
@@ -41,7 +42,13 @@ class ReqSlots
     explicit ReqSlots(int capacity);
 
     int capacity() const { return capacity_; }
-    SlotState state(int slot) const;
+    /** Panics on an out-of-range reqId. Inline: the runtime asks
+     *  for every slot's state in every iteration. */
+    SlotState state(int slot) const
+    {
+        checkSlot(slot);
+        return states_[static_cast<std::size_t>(slot)];
+    }
 
     int numActive() const { return num_active_; }
     int numFree() const { return num_free_; }
@@ -122,7 +129,11 @@ class ReqSlots
     std::vector<int> activeSlots() const;
 
   private:
-    void checkSlot(int slot) const;
+    void checkSlot(int slot) const
+    {
+        panic_if(slot < 0 || slot >= capacity_, "reqId ", slot,
+                 " out of range [0, ", capacity_, ")");
+    }
     void linkCachedBack(int slot);
     void unlinkCached(int slot);
 

@@ -1,7 +1,6 @@
 #include "core/vattention.hh"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/logging.hh"
 #include "common/prefix_hash.hh"
@@ -33,6 +32,12 @@ VAttention::VAttention(cuvmm::Driver &driver, const Config &config)
       chains_(static_cast<std::size_t>(config.max_batch_size)),
       stashes_(static_cast<std::size_t>(config.max_batch_size))
 {
+    const KvGeometry &geom = allocator_.geometry();
+    eager_target_ = config_.eager_groups;
+    for (int b = 0; b < geom.numBuffers(); ++b) {
+        eager_target_ =
+            std::min(eager_target_, geom.buffer(b).max_groups);
+    }
     // Reservation + pre-created handles happen before serving starts;
     // none of it is critical-path time.
     stats_.init_ns = driver_.consumeElapsedNs();
@@ -801,31 +806,36 @@ VAttention::step(const std::vector<i64> &seq_lens)
         return result;
     }
 
+    // Validate the whole batch first: a rejected step has no side
+    // effects.
+    for (int slot = 0; slot < config_.max_batch_size; ++slot) {
+        const i64 len = seq_lens[static_cast<std::size_t>(slot)];
+        const char *error = nullptr;
+        if (slots_.state(slot) != SlotState::kActive) {
+            if (len != 0) {
+                error = "non-zero length for inactive reqId";
+            }
+        } else if (len < 0) {
+            error = "negative context length";
+        } else if (len > config_.max_context_len) {
+            error = "context length beyond the model maximum";
+        }
+        if (error != nullptr) {
+            result.status =
+                errorStatus(ErrorCode::kInvalidArgument, error);
+            return result;
+        }
+    }
+
     ++stats_.steps;
     driver_.consumeElapsedNs(); // open a fresh accounting window
     const i64 mapped_before = allocator_.totalHandlesMapped();
 
     for (int slot = 0; slot < config_.max_batch_size; ++slot) {
-        const i64 len = seq_lens[static_cast<std::size_t>(slot)];
         if (slots_.state(slot) != SlotState::kActive) {
-            if (len != 0) {
-                result.status = errorStatus(
-                    ErrorCode::kInvalidArgument,
-                    "non-zero length for inactive reqId");
-                result.critical_ns = driver_.consumeElapsedNs();
-                stats_.critical_ns += result.critical_ns;
-                return result;
-            }
             continue;
         }
-        if (len > config_.max_context_len) {
-            result.status = errorStatus(
-                ErrorCode::kInvalidArgument,
-                "context length beyond the model maximum");
-            result.critical_ns = driver_.consumeElapsedNs();
-            stats_.critical_ns += result.critical_ns;
-            return result;
-        }
+        const i64 len = seq_lens[static_cast<std::size_t>(slot)];
         if (allocator_.needsEnsureTokens(slot, len)) {
             auto status = ensureTokensSteal(slot, len,
                                             &result.handles_stolen);
@@ -926,19 +936,10 @@ VAttention::computePhase(TimeNs window_ns)
             }
         }
         const int warm = have_warm ? -1 : slots_.firstFree();
-        const auto &geom = allocator_.geometry();
-        i64 max_groups = std::numeric_limits<i64>::max();
-        for (int b = 0; b < geom.numBuffers(); ++b) {
-            max_groups = std::min(
-                max_groups,
-                geom.maxGroupsPerRequest(geom.layerOfBuffer(b)));
-        }
-        const i64 eager_target =
-            std::min(config_.eager_groups, max_groups);
-        if (warm >= 0 && eager_target > 0) {
+        if (warm >= 0 && eager_target_ > 0) {
             bool warmed = false;
             while (window_open &&
-                   allocator_.groupsMapped(warm) < eager_target &&
+                   allocator_.groupsMapped(warm) < eager_target_ &&
                    pool_.availableGroups() >=
                        allocator_.geometry().numBuffers()) {
                 if (!background_.tryConsume(mapAllBuffersCost())) {

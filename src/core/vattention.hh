@@ -389,6 +389,9 @@ class VAttention
     ReqSlots slots_;
     BackgroundWorker background_;
     std::vector<i64> last_seq_lens_;
+    /** Groups computePhase keeps the warm slot mapped with:
+     *  eager_groups capped by the smallest buffer's maximum. */
+    i64 eager_target_ = 0;
     std::vector<PrefixChain> chains_;
     std::vector<HostStash> stashes_;
     RuntimeStats stats_;

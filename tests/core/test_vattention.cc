@@ -122,6 +122,42 @@ TEST_F(VAttentionTest, StepValidatesInput)
               ErrorCode::kInvalidArgument);
 }
 
+TEST_F(VAttentionTest, StepRejectsNegativeLengthWithoutSideEffects)
+{
+    auto config = smallConfig();
+    config.phys_budget_bytes = 8 * MiB;
+    config.overlap_allocation = true;
+    VAttention vattn(driver_, config);
+    const int r0 = vattn.allocReqId().value();
+    const int r1 = vattn.allocReqId().value();
+    ASSERT_EQ(r0, 0);
+    ASSERT_EQ(r1, 1);
+    ASSERT_TRUE(vattn.step(lens(3000, 100)).status.isOk());
+    const RuntimeStats before = vattn.stats();
+    const i64 mapped_before = vattn.mappedHandles(r0);
+
+    // r0 would cross a group boundary; r1's length is negative. The
+    // whole step is rejected before any slot is grown.
+    const StepStats stats = vattn.step(lens(4097, -1));
+    EXPECT_EQ(stats.status.code(), ErrorCode::kInvalidArgument);
+    EXPECT_NE(stats.status.message().find("negative"),
+              std::string::npos)
+        << stats.status.message();
+    EXPECT_EQ(stats.handles_mapped, 0);
+    EXPECT_EQ(stats.critical_ns, 0u);
+    EXPECT_EQ(vattn.mappedHandles(r0), mapped_before);
+    EXPECT_EQ(vattn.stats().steps, before.steps);
+    EXPECT_EQ(vattn.stats().critical_ns, before.critical_ns);
+
+    // The last accepted lengths stay in force: the decode prefetch
+    // grows r0 toward 3001 tokens (no new group) and r1 toward 101,
+    // so nothing is mapped in the background.
+    vattn.computePhase(1000000);
+    EXPECT_EQ(vattn.stats().background_handles, 0);
+    EXPECT_EQ(vattn.mappedHandles(r0), mapped_before);
+    EXPECT_TRUE(vattn.checkInvariants());
+}
+
 TEST_F(VAttentionTest, KvWritesThroughSteppedTensors)
 {
     auto config = smallConfig();
