@@ -39,9 +39,10 @@ namespace log_detail
 namespace
 {
 
-/** Serializes log output and guards the error-mode flag: replica
- *  worker threads (serving/cluster.cc) report through here
- *  concurrently, and interleaved half-lines are useless in CI logs. */
+/** Serializes log output and guards the error-mode flag: callers on
+ *  different threads (e.g. concurrent ServingCluster::submit clients)
+ *  may report through here at once, and interleaved half-lines are
+ *  useless in CI logs. */
 std::mutex log_mutex;
 
 bool throw_on_error GUARDED_BY(log_mutex) = false;

@@ -49,6 +49,14 @@ Percentiles::add(double x)
     sorted_ = false;
 }
 
+void
+Percentiles::append(const Percentiles &other)
+{
+    samples_.insert(samples_.end(), other.samples_.begin(),
+                    other.samples_.end());
+    sorted_ = false;
+}
+
 const std::vector<double> &
 Percentiles::sorted() const
 {

@@ -50,6 +50,9 @@ class Percentiles
 {
   public:
     void add(double x);
+    /** Add every raw sample of @p other (quantiles do not depend on
+     *  insertion order, so nothing is sorted here). */
+    void append(const Percentiles &other);
     u64 count() const { return samples_.size(); }
 
     /** Pre-size the sample store (allocation-free steady-state adds:

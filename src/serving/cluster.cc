@@ -1,8 +1,6 @@
 #include "serving/cluster.hh"
 
 #include <algorithm>
-#include <exception>
-#include <thread>
 #include <utility>
 
 #include "common/logging.hh"
@@ -10,17 +8,6 @@
 
 namespace vattn::serving
 {
-
-const char *
-toString(ClusterExecution mode)
-{
-    switch (mode) {
-      case ClusterExecution::kAuto: return "auto";
-      case ClusterExecution::kThreads: return "threads";
-      case ClusterExecution::kEventLoop: return "event_loop";
-    }
-    return "?";
-}
 
 const char *
 toString(RoutingMode mode)
@@ -34,6 +21,22 @@ toString(RoutingMode mode)
 
 namespace
 {
+
+/** Indices of @p trace in time order, ties in trace order (the shared
+ *  arrival timeline routing and submission both walk). */
+std::vector<std::size_t>
+arrivalOrder(const std::vector<Request> &trace)
+{
+    std::vector<std::size_t> order(trace.size());
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        order[i] = i;
+    }
+    std::stable_sort(order.begin(), order.end(),
+                     [&trace](std::size_t a, std::size_t b) {
+                         return trace[a].arrival_ns < trace[b].arrival_ns;
+                     });
+    return order;
+}
 
 /** max/mean of a non-negative series; 0 when the series is all-zero. */
 double
@@ -129,19 +132,10 @@ ServingCluster::routeTrace(const std::vector<Request> &trace) const
     }
     Router router(config_.policy, std::move(replicas));
 
-    // Route on the shared arrival timeline: time order, ties in trace
-    // order (the same tie-break Engine::run uses for admission).
-    std::vector<std::size_t> order(trace.size());
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        order[i] = i;
-    }
-    std::stable_sort(order.begin(), order.end(),
-                     [&trace](std::size_t a, std::size_t b) {
-                         return trace[a].arrival_ns < trace[b].arrival_ns;
-                     });
-
+    // Route on the shared arrival timeline (the same tie-break
+    // Engine::run uses for admission).
     std::vector<int> assignment(trace.size(), 0);
-    for (std::size_t i : order) {
+    for (std::size_t i : arrivalOrder(trace)) {
         assignment[i] = router.route(
             trace[i].arrival_ns, [this, &trace, i](int replica) {
                 return estimateFor(trace[i], replica);
@@ -150,146 +144,36 @@ ServingCluster::routeTrace(const std::vector<Request> &trace) const
     return assignment;
 }
 
-ServingCluster::Progress
-ServingCluster::progress() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return progress_;
-}
-
-void
-ServingCluster::recordReplicaDone(const RunReport &report)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++progress_.replicas_finished;
-    progress_.requests_finished += report.num_requests;
-    progress_.tokens_served += report.prompt_tokens +
-                               report.decode_tokens;
-}
-
-ClusterExecution
-ServingCluster::resolvedExecution() const
-{
-    if (config_.execution != ClusterExecution::kAuto) {
-        return config_.execution;
-    }
-    // Past the core count, extra threads only add creation and
-    // context-switch overhead on top of the same serialized work.
-    const unsigned cores = std::thread::hardware_concurrency();
-    return engines_.size() > static_cast<std::size_t>(
-                                 cores > 0 ? cores : 1)
-               ? ClusterExecution::kEventLoop
-               : ClusterExecution::kThreads;
-}
-
-void
-ServingCluster::runThreads(std::vector<std::vector<Request>> &shares,
-                           ClusterReport &report)
-{
-    const std::size_t n = engines_.size();
-    // Failures are rethrown in replica order so the outcome does not
-    // depend on thread scheduling.
-    std::vector<std::exception_ptr> errors(n);
-    std::vector<std::thread> workers;
-    workers.reserve(n);
-    for (std::size_t r = 0; r < n; ++r) {
-        workers.emplace_back([this, r, &shares, &report, &errors] {
-            try {
-                report.replicas[r] =
-                    engines_[r]->run(std::move(shares[r]));
-                recordReplicaDone(report.replicas[r]);
-            } catch (...) {
-                errors[r] = std::current_exception();
-            }
-        });
-    }
-    for (std::thread &worker : workers) {
-        worker.join();
-    }
-    for (const std::exception_ptr &error : errors) {
-        if (error) {
-            std::rethrow_exception(error);
-        }
-    }
-}
-
-void
-ServingCluster::runEventLoop(
-    std::vector<std::vector<Request>> &shares, ClusterReport &report)
-{
-    const std::size_t n = engines_.size();
-    // Discrete-event coordination over the replicas' virtual clocks:
-    // the heap always surfaces the replica with the earliest pending
-    // event (arrival or runnable work). Replicas are independent, so
-    // this ordering is about efficiency — each pop lets the replica
-    // run ahead until the next other-replica event, batching many
-    // scheduling steps per heap operation — not about correctness;
-    // any interleaving yields the same per-replica reports.
-    sim::EventQueue<std::size_t> ready;
-    ready.reserve(n);
-    for (std::size_t r = 0; r < n; ++r) {
-        if (shares[r].empty()) {
-            continue; // matches Engine::run on an empty trace
-        }
-        engines_[r]->beginRun(std::move(shares[r]));
-        ready.push(engines_[r]->nextEventNs(), r);
-    }
-    while (!ready.empty()) {
-        const std::size_t r = ready.pop();
-        Engine &engine = *engines_[r];
-        const TimeNs horizon =
-            ready.empty() ? sim::kNoEventNs : ready.nextTimeNs();
-        while (engine.runActive() && engine.nextEventNs() <= horizon) {
-            engine.stepRun();
-        }
-        if (engine.runActive()) {
-            ready.push(engine.nextEventNs(), r);
-            continue;
-        }
-        report.replicas[r] = engine.endRun();
-        recordReplicaDone(report.replicas[r]);
-    }
-}
-
 ClusterReport
 ServingCluster::run(std::vector<Request> trace)
 {
     const std::size_t n = engines_.size();
-    {
-        // Thread-safe single-shot guard: engine virtual clocks carry
-        // across runs, which would shift every arrival into the past
-        // on a second trace — one cluster, one run.
-        std::lock_guard<std::mutex> lock(mutex_);
-        panic_if(run_started_,
-                 "ServingCluster::run is single-shot; construct a "
-                 "fresh cluster per trace");
-        run_started_ = true;
-    }
-    ClusterReport report;
-    report.replicas.resize(n);
-    report.assigned.assign(n, 0);
-
     const std::vector<int> assignment = routeTrace(trace);
-    std::vector<std::vector<Request>> shares(n);
+    std::vector<std::size_t> share_requests(n, 0);
+    std::vector<i64> share_tokens(n, 0);
     for (std::size_t i = 0; i < trace.size(); ++i) {
-        shares[static_cast<std::size_t>(assignment[i])].push_back(
-            std::move(trace[i]));
+        const auto r = static_cast<std::size_t>(assignment[i]);
+        ++share_requests[r];
+        share_tokens[r] += trace[i].max_new_tokens;
     }
+    // One lock hold for the whole session, so no concurrent submit()
+    // can slip a request in between.
+    std::lock_guard<std::mutex> lock(mutex_);
+    openSession(OnlineOptions{});
     for (std::size_t r = 0; r < n; ++r) {
-        report.assigned[r] = static_cast<i64>(shares[r].size());
+        engines_[r]->beginOnline(share_requests[r], share_tokens[r]);
     }
-
-    // Replicas are independent once routed, so both drivers produce
-    // the identical per-replica reports (pinned by the equivalence
-    // tests); the merge below is deterministic either way.
-    if (resolvedExecution() == ClusterExecution::kEventLoop) {
-        runEventLoop(shares, report);
-    } else {
-        runThreads(shares, report);
+    // Routing is already decided, so nothing needs the replicas pumped
+    // up to each arrival: every replica gets its whole share now, in
+    // arrival order, and the drain simulates it.
+    for (std::size_t i : arrivalOrder(trace)) {
+        const auto r = static_cast<std::size_t>(assignment[i]);
+        ++online_assigned_[r];
+        engines_[r]
+            ->submitOnline(std::move(trace[i]))
+            .expectOk("ServingCluster::run submit");
     }
-
-    mergeReports(report);
-    return report;
+    return closeSession();
 }
 
 void
@@ -331,18 +215,10 @@ ServingCluster::mergeReports(ClusterReport &report)
             std::max(merged.makespan_ns, replica.makespan_ns);
         merged.busy_ns += replica.busy_ns;
         merged.comm_ns += replica.comm_ns;
-        for (double x : replica.latency_s.sorted()) {
-            merged.latency_s.add(x);
-        }
-        for (double x : replica.ttft_s.sorted()) {
-            merged.ttft_s.add(x);
-        }
-        for (double x : replica.tbt_s.sorted()) {
-            merged.tbt_s.add(x);
-        }
-        for (double x : replica.normalized_latency_s.sorted()) {
-            merged.normalized_latency_s.add(x);
-        }
+        merged.latency_s.append(replica.latency_s);
+        merged.ttft_s.append(replica.ttft_s);
+        merged.tbt_s.append(replica.tbt_s);
+        merged.normalized_latency_s.append(replica.normalized_latency_s);
     }
 
     // Iteration records: k-way heap merge over the per-replica streams
@@ -407,52 +283,9 @@ ServingCluster::mergeReports(ClusterReport &report)
 void
 ServingCluster::advanceAllTo(TimeNs horizon_ns)
 {
-    const std::size_t n = engines_.size();
-    const auto pump = [horizon_ns](Engine &engine) {
-        while (engine.runActive() &&
-               engine.nextEventNs() < horizon_ns) {
-            engine.stepRun();
-        }
-    };
-    // Replicas with no event before the horizon have nothing to do;
-    // skipping them keeps the threads mode from spawning workers for
-    // idle replicas on every submission.
-    std::vector<std::size_t> pending;
-    pending.reserve(n);
-    for (std::size_t r = 0; r < n; ++r) {
-        if (engines_[r]->runActive() &&
-            engines_[r]->nextEventNs() < horizon_ns) {
-            pending.push_back(r);
-        }
-    }
-    if (pending.size() <= 1 ||
-        resolvedExecution() != ClusterExecution::kThreads) {
-        // Replicas are independent within the window, so sequential
-        // order is irrelevant (the event-loop mode and the one-worker
-        // degenerate case share this path).
-        for (const std::size_t r : pending) {
-            pump(*engines_[r]);
-        }
-        return;
-    }
-    std::vector<std::exception_ptr> errors(pending.size());
-    std::vector<std::thread> workers;
-    workers.reserve(pending.size());
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-        workers.emplace_back([&, i] {
-            try {
-                pump(*engines_[pending[i]]);
-            } catch (...) {
-                errors[i] = std::current_exception();
-            }
-        });
-    }
-    for (std::thread &worker : workers) {
-        worker.join();
-    }
-    for (const std::exception_ptr &error : errors) {
-        if (error) {
-            std::rethrow_exception(error);
+    for (const auto &engine : engines_) {
+        while (engine->nextEventNs() < horizon_ns) {
+            engine->stepRun();
         }
     }
 }
@@ -526,13 +359,11 @@ ServingCluster::maybeMigrate()
 }
 
 void
-ServingCluster::start(const OnlineOptions &options)
+ServingCluster::openSession(const OnlineOptions &options)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    panic_if(run_started_,
-             "ServingCluster::start: the cluster already served a "
-             "trace or session (single-shot; construct a fresh one)");
-    run_started_ = true;
+    panic_if(online_started_,
+             "ServingCluster: the cluster already served a trace or "
+             "session (single-shot; construct a fresh one)");
     online_started_ = true;
     online_options_ = options;
     online_assigned_.assign(engines_.size(), 0);
@@ -545,6 +376,13 @@ ServingCluster::start(const OnlineOptions &options)
     }
     online_router_ = // alloc-ok: session start, once per cluster
         std::make_unique<Router>(config_.policy, std::move(replicas));
+}
+
+void
+ServingCluster::start(const OnlineOptions &options)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    openSession(options);
     for (const auto &engine : engines_) {
         engine->beginOnline(options.expected_requests);
     }
@@ -603,21 +441,23 @@ ServingCluster::shutdown()
     std::lock_guard<std::mutex> lock(mutex_);
     panic_if(!online_started_ || online_shutdown_,
              "ServingCluster::shutdown without an open session");
+    return closeSession();
+}
+
+ClusterReport
+ServingCluster::closeSession()
+{
     online_shutdown_ = true;
-
-    const std::size_t n = engines_.size();
     ClusterReport report;
-    report.replicas.resize(n);
+    report.replicas.reserve(engines_.size());
     report.assigned = online_assigned_;
-
-    advanceAllTo(sim::kNoEventNs); // drain every replica completely
-    for (std::size_t r = 0; r < n; ++r) {
-        engines_[r]->closeOnline();
-        report.replicas[r] = engines_[r]->endRun();
-        ++progress_.replicas_finished;
-        progress_.requests_finished += report.replicas[r].num_requests;
-        progress_.tokens_served += report.replicas[r].prompt_tokens +
-                                   report.replicas[r].decode_tokens;
+    // Drain every replica completely, one after another: routed
+    // replicas are independent, so index order gives the same
+    // per-replica reports as any interleaving.
+    advanceAllTo(sim::kNoEventNs);
+    for (const auto &engine : engines_) {
+        engine->closeOnline();
+        report.replicas.push_back(engine->endRun());
     }
     mergeReports(report);
     return report;

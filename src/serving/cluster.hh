@@ -1,18 +1,15 @@
 /**
  * @file
  * Multi-replica serving: a ServingCluster owns N independently
- * configured Engine replicas behind a Router. Requests are routed up
- * front on the shared virtual arrival timeline (see router.hh), then
- * every replica simulates its share — either on its own std::thread
- * worker or cooperatively on one event-driven coordinator that always
- * steps the replica with the earliest pending virtual-time event
- * (ClusterExecution picks; the event loop wins once replicas
- * outnumber hardware threads). The per-replica RunReports merge —
- * iteration records k-way by timestamp, latency samples in replica
- * order — into one ClusterReport. The whole pipeline is
- * deterministic: the same configuration and trace produce an
- * identical merged report no matter which execution mode ran it or
- * how threads interleave.
+ * configured Engine replicas behind a Router. Every request reaches
+ * its replica through the one online session (start / submit /
+ * shutdown); run() is that session with the routing done up front on
+ * the shared virtual arrival timeline (see router.hh). Once routed,
+ * replicas are independent, so one caller thread pumps them one after
+ * another in index order. The per-replica RunReports merge — iteration
+ * records k-way by timestamp, latency samples in replica order — into
+ * one ClusterReport. The whole pipeline is deterministic: the same
+ * configuration and trace produce an identical merged report.
  */
 
 #ifndef VATTN_SERVING_CLUSTER_HH
@@ -30,23 +27,6 @@
 
 namespace vattn::serving
 {
-
-/** How a cluster run drives its replicas. */
-enum class ClusterExecution : u8
-{
-    /** Event loop once replicas outnumber hardware threads (where
-     *  thread churn costs more than it buys), threads otherwise. */
-    kAuto,
-    /** One std::thread per replica (the historical behaviour). */
-    kThreads,
-    /** Single-threaded cooperative coordinator: repeatedly steps the
-     *  replica with the earliest next virtual-time event. No thread
-     *  creation, no context switches — the scalable path for
-     *  replica counts far beyond the core count. */
-    kEventLoop,
-};
-
-const char *toString(ClusterExecution mode);
 
 /** How the online serving path places each arrival on a replica. */
 enum class RoutingMode : u8
@@ -108,8 +88,6 @@ class ServingCluster
          *  backend, KV budget — "replica skew" scenarios). */
         std::vector<EngineConfig> replicas;
         RoutingPolicy policy = RoutingPolicy::kJoinShortestQueue;
-        /** Replica driver (identical reports either way). */
-        ClusterExecution execution = ClusterExecution::kAuto;
     };
 
     /** Convenience: @p n identical replicas of @p engine. */
@@ -118,26 +96,22 @@ class ServingCluster
 
     explicit ServingCluster(Config config);
 
-    /** Route @p trace across the replicas and serve it (threads or
-     *  event loop per the config). Single-shot: the replicas' virtual
-     *  clocks are consumed, so construct a fresh cluster per trace (a
-     *  second call panics). */
-    ClusterReport run(std::vector<Request> trace);
-
-    /** The driver run() will use (kAuto resolved). */
-    ClusterExecution resolvedExecution() const;
+    /** Route @p trace across the replicas and serve it: the online
+     *  session with every request routed up front (routeTrace) and
+     *  submitted to its replica in arrival order. Single-shot: the
+     *  replicas' virtual clocks are consumed, so construct a fresh
+     *  cluster per trace (a second call panics). */
+    ClusterReport run(std::vector<Request> trace) EXCLUDES(mutex_);
 
     // ---- Online serving (start / submit / shutdown) ------------------
     //
-    // The streaming alternative to run(): requests are submitted one
-    // at a time as they arrive (any thread), each dispatched to a
-    // replica the moment it is submitted — after every replica has
-    // simulated up to the arrival instant, so live routing and
-    // migration decisions see the cluster as it actually stands at
-    // that virtual time. Deterministic like run(): the same submission
-    // sequence produces the same merged report in either execution
-    // mode (threads and event loop pump identical per-replica work
-    // between arrivals; replicas are independent within a window).
+    // Requests are submitted one at a time as they arrive (any
+    // thread), each dispatched to a replica the moment it is
+    // submitted — after every replica has simulated up to the arrival
+    // instant, so live routing and migration decisions see the
+    // cluster as it actually stands at that virtual time.
+    // Deterministic like run(): the same submission sequence produces
+    // the same merged report.
 
     /**
      * Open an online session. Single-shot like run() (and mutually
@@ -174,65 +148,35 @@ class ServingCluster
     Engine &replica(int i) { return *engines_[static_cast<std::size_t>(i)]; }
     const Config &config() const { return config_; }
 
-    /**
-     * Live cross-thread run progress, accumulated by the replica
-     * worker threads as each finishes its share. Integer sums only, so
-     * the totals are identical no matter which order the threads
-     * complete in; after run() returns they must equal the merged
-     * report's counts (the cross-layer audit checks this).
-     */
-    struct Progress
-    {
-        int replicas_finished = 0;
-        i64 requests_finished = 0;
-        i64 tokens_served = 0; ///< prompt + decode tokens
-    };
-
-    /** Snapshot of the shared progress accumulator. Safe to call from
-     *  any thread while run() executes on another. */
-    Progress progress() const EXCLUDES(mutex_);
-
   private:
     /** This request's footprint on @p replica's load model. */
     Router::Estimate estimateFor(const Request &request,
                                  int replica) const;
 
-    /** Worker-thread side of the accumulator. */
-    void recordReplicaDone(const RunReport &report) EXCLUDES(mutex_);
-
-    /** Simulate every replica's share, one std::thread each. */
-    void runThreads(std::vector<std::vector<Request>> &shares,
-                    ClusterReport &report);
-    /** Simulate every replica's share on one cooperative
-     *  event-driven coordinator (earliest virtual event first). */
-    void runEventLoop(std::vector<std::vector<Request>> &shares,
-                      ClusterReport &report);
-
+    /** Mark the cluster's one session open and build its router
+     *  (shared by start() and run(); the caller opens the replicas). */
+    void openSession(const OnlineOptions &options) REQUIRES(mutex_);
     /** Step every replica until its next event is at or past
-     *  @p horizon_ns (kNoEventNs drains them completely). Replicas
-     *  are independent within the window, so the threads and
-     *  event-loop modes produce identical per-replica state. */
+     *  @p horizon_ns (kNoEventNs drains them completely), one replica
+     *  after another: they are independent within the window. */
     void advanceAllTo(TimeNs horizon_ns) REQUIRES(mutex_);
     /** One rebalance step at an arrival instant: migrate at most one
      *  request from the most- to the least-loaded replica when the
      *  gap warrants it (deterministic, pure function of live state). */
     void maybeMigrate() REQUIRES(mutex_);
-    /** Merge per-replica reports into report.merged + imbalance stats
-     *  (shared by run() and shutdown()). */
+    /** Drain every replica, end its run and merge the reports: the
+     *  tail run() and shutdown() share. */
+    ClusterReport closeSession() REQUIRES(mutex_);
+    /** Merge per-replica reports into report.merged + imbalance stats. */
     static void mergeReports(ClusterReport &report);
 
     Config config_;
     std::vector<std::unique_ptr<Engine>> engines_;
 
-    /** Guards the cross-thread run state below: the single-shot flag
-     *  (run() may race itself from different threads), the merge
-     *  progress the worker threads write, and the whole online
-     *  session (submit serializes replica pumping behind it). */
-    mutable std::mutex mutex_;
-    bool run_started_ GUARDED_BY(mutex_) = false;
-    Progress progress_ GUARDED_BY(mutex_);
-
-    // ---- Online-session state (all behind mutex_) --------------------
+    /** Guards the session state below: the single-shot flag (run()
+     *  and start() may race from different threads) and the whole
+     *  online session (submit serializes replica pumping behind it). */
+    std::mutex mutex_;
     bool online_started_ GUARDED_BY(mutex_) = false;
     bool online_shutdown_ GUARDED_BY(mutex_) = false;
     OnlineOptions online_options_ GUARDED_BY(mutex_);

@@ -725,41 +725,6 @@ Engine::auditFinal() const
 }
 #endif
 
-void
-Engine::beginRun(std::vector<Request> trace)
-{
-    panic_if(runActive() || online_open_,
-             "beginRun while a run is active");
-#if VATTN_AUDIT
-    audit_last_state_.clear();
-    audit_iter_ = 0;
-#endif
-    trace_ = std::move(trace);
-    run_report_ = RunReport{};
-    run_total_ = trace_.size();
-    run_finished_ = 0;
-
-    // Feed the arrival event queue in trace order: the heap pops in
-    // (arrival_ns, push-order) order, which is exactly the historical
-    // stable_sort-by-arrival admission sequence.
-    arrivals_.clear();
-    arrivals_.reserve(trace_.size());
-    i64 total_new_tokens = 0;
-    for (Request &request : trace_) {
-        arrivals_.push(request.arrival_ns, &request);
-        total_new_tokens += request.max_new_tokens;
-    }
-
-    // Reserve every sample store for the whole run up front, so the
-    // per-iteration hot path adds samples without reallocating.
-    const std::size_t n = trace_.size();
-    run_report_.latency_s.reserve(n);
-    run_report_.ttft_s.reserve(n);
-    run_report_.normalized_latency_s.reserve(n);
-    run_report_.tbt_s.reserve(
-        static_cast<std::size_t>(std::max<i64>(total_new_tokens, 0)));
-}
-
 TimeNs
 Engine::nextEventNs() const
 {
@@ -851,12 +816,12 @@ Engine::endRun()
     run_report_.prefix_copied_bytes = prefix_stats.copied_bytes;
     run_total_ = 0;
     run_finished_ = 0;
-    trace_.clear();
     return std::move(run_report_);
 }
 
 void
-Engine::beginOnline(std::size_t expected_requests)
+Engine::beginOnline(std::size_t expected_requests,
+                    i64 expected_new_tokens)
 {
     panic_if(runActive() || online_open_,
              "beginOnline while a run is active");
@@ -864,7 +829,6 @@ Engine::beginOnline(std::size_t expected_requests)
     audit_last_state_.clear();
     audit_iter_ = 0;
 #endif
-    trace_.clear();
     owned_.clear();
     arrivals_.clear();
     run_report_ = RunReport{};
@@ -873,14 +837,14 @@ Engine::beginOnline(std::size_t expected_requests)
     last_submit_ns_ = 0;
     online_tbt_target_ = 0;
     online_open_ = true;
-    if (expected_requests > 0) {
-        // Head start for the per-submission geometric reservation
-        // (reserveOnlineSamples); TBT pre-sizes there too, from the
-        // submitted decode budgets.
-        run_report_.latency_s.reserve(expected_requests);
-        run_report_.ttft_s.reserve(expected_requests);
-        run_report_.normalized_latency_s.reserve(expected_requests);
-    }
+    // Head start for the per-submission geometric reservation
+    // (reserveOnlineSamples): hints that cover the whole session
+    // leave nothing to grow, so no sample add ever reallocates.
+    run_report_.latency_s.reserve(expected_requests);
+    run_report_.ttft_s.reserve(expected_requests);
+    run_report_.normalized_latency_s.reserve(expected_requests);
+    run_report_.tbt_s.reserve(
+        static_cast<std::size_t>(std::max<i64>(expected_new_tokens, 0)));
 }
 
 void
@@ -967,8 +931,7 @@ Engine::reserveOnlineSamples(const Request &request)
     // Per-request samples: one latency/TTFT/normalized each, up to
     // max_new_tokens TBT gaps. Growth is geometric (doubling), so the
     // amortized cost per submission is O(1) and stepRun's adds stay
-    // reallocation-free — the open-ended-session analogue of
-    // beginRun's whole-trace reservation.
+    // reallocation-free however long the session runs.
     const auto grow = [](Percentiles &samples, std::size_t target) {
         if (samples.capacity() < target) {
             // alloc-ok: geometric sample-store growth at submission
@@ -1069,10 +1032,22 @@ Engine::migrateSwappedTo(Engine &target)
 RunReport
 Engine::run(std::vector<Request> trace)
 {
-    if (trace.empty()) {
-        return RunReport{};
+    // Time order, ties in trace order: the arrival queue pops
+    // same-instant requests in submission order, so this is the
+    // admission sequence.
+    std::stable_sort(trace.begin(), trace.end(),
+                     [](const Request &a, const Request &b) {
+                         return a.arrival_ns < b.arrival_ns;
+                     });
+    i64 new_tokens = 0;
+    for (const Request &request : trace) {
+        new_tokens += request.max_new_tokens;
     }
-    beginRun(std::move(trace));
+    beginOnline(trace.size(), new_tokens);
+    for (Request &request : trace) {
+        submitOnline(std::move(request)).expectOk("Engine::run submit");
+    }
+    closeOnline();
     while (runActive()) {
         stepRun();
     }

@@ -143,21 +143,38 @@ class Engine
   public:
     explicit Engine(EngineConfig config);
 
-    /** Serve a whole trace (offline or online per arrival times). */
+    /** Serve a whole trace (offline or online per arrival times): a
+     *  session that submits the trace in arrival order (ties in trace
+     *  order), closes it and steps it to completion. */
     RunReport run(std::vector<Request> trace);
 
-    // ---- Incremental run API (event-driven drivers) -------------------
+    // ---- Session API ---------------------------------------------------
     //
-    // run() is a thin wrapper over these three calls, so both entry
-    // points execute the identical loop body: beginRun() feeds the
-    // trace into the arrival event queue, stepRun() performs exactly
-    // one scheduling step (pending admissions + one iteration, or an
-    // idle jump to the next arrival), endRun() finalizes the report.
-    // A cluster coordinator interleaves many replicas by repeatedly
-    // stepping whichever one has the earliest nextEventNs().
+    // One API serves whole traces and streams alike: beginOnline()
+    // opens a session, submitOnline() adds one request (arrival times
+    // must be non-decreasing — the driver dispatches arrivals in
+    // virtual-time order), closeOnline() ends the stream. Submissions
+    // may interleave with stepRun(), which performs exactly one
+    // scheduling step (pending admissions + one iteration, or an idle
+    // jump to the next arrival); endRun() finalizes the report once
+    // every submitted request terminated. Terminal requests are
+    // garbage-collected off the front of the ownership deque, so live
+    // memory is bounded by the in-flight set, not the session length.
 
-    /** Start an incremental run (the engine takes the trace). */
-    void beginRun(std::vector<Request> trace);
+    /** Open a session, pre-sizing the report's sample stores for
+     *  @p expected_requests requests emitting up to
+     *  @p expected_new_tokens tokens (0 = grow on demand). */
+    void beginOnline(std::size_t expected_requests = 0,
+                     i64 expected_new_tokens = 0);
+    /** Feed one request mid-flight. Errors — instead of panicking —
+     *  when no session is open or arrivals go back in time. */
+    Status submitOnline(Request request);
+    /** Declare the stream finished; drain via stepRun, then endRun. */
+    void closeOnline();
+    /** Requests currently owned by the session (bounded-memory
+     *  checks: stays O(in-flight) as terminal requests are GC'd). */
+    std::size_t ownedRequests() const { return owned_.size(); }
+
     /** Requests still in flight (stepRun may be called)? */
     bool runActive() const { return run_finished_ < run_total_; }
     /**
@@ -168,33 +185,8 @@ class Engine
     TimeNs nextEventNs() const;
     /** Execute one scheduling step (precondition: runActive()). */
     void stepRun();
-    /** Finish the run and return the report. */
+    /** Finish the session and return the report. */
     RunReport endRun();
-
-    // ---- Online submission (streaming serving path) -------------------
-    //
-    // The offline API hands over a whole trace up front; the online
-    // API feeds requests mid-flight: beginOnline() opens a session,
-    // submitOnline() adds one request (arrival times must be
-    // non-decreasing — the driver dispatches arrivals in virtual-time
-    // order), closeOnline() ends the stream. The session is driven by
-    // the same nextEventNs()/stepRun() loop and finalized by endRun()
-    // once every submitted request terminated. Terminal requests are
-    // garbage-collected off the front of the ownership deque, so live
-    // memory is bounded by the in-flight set, not the session length.
-
-    /** Open an online session. @p expected_requests pre-sizes the
-     *  report's sample stores (0 = grow on demand). */
-    void beginOnline(std::size_t expected_requests = 0);
-    /** Feed one request mid-flight. Errors — instead of panicking —
-     *  when no session is open or arrivals go back in time. */
-    Status submitOnline(Request request);
-    /** Declare the stream finished; drain via stepRun, then endRun. */
-    void closeOnline();
-    bool onlineOpen() const { return online_open_; }
-    /** Requests currently owned by the session (bounded-memory
-     *  checks: stays O(in-flight) as terminal requests are GC'd). */
-    std::size_t ownedRequests() const { return owned_.size(); }
 
     // ---- Live load & cross-replica migration --------------------------
 
@@ -325,8 +317,8 @@ class Engine
     /** Pop terminal requests off the front of the ownership deque. */
     void gcOnline();
     /** Grow the report's sample stores geometrically at submission
-     *  time so stepRun's sample adds never reallocate (the online
-     *  analogue of beginRun's whole-trace reservation). */
+     *  time so stepRun's sample adds never reallocate (a no-op when
+     *  beginOnline's hints already cover the session). */
     void reserveOnlineSamples(const Request &request);
     /** Take ownership of a migrated-in request and queue it. */
     void adoptMigrant(Request request, bool swapped);
@@ -369,8 +361,7 @@ class Engine
     std::vector<Request *> running_; ///< admission order
     i64 block_size_ = 0;             ///< paged back-ends only
 
-    // ---- Incremental-run state (beginRun/stepRun/endRun) -------------
-    std::vector<Request> trace_; ///< requests owned for the active run
+    // ---- Session state -------------------------------------------------
     sim::EventQueue<Request *> arrivals_;
     RunReport run_report_;
     std::size_t run_total_ = 0;
@@ -378,11 +369,9 @@ class Engine
     /** Admission gate handed to the composer; built once so the hot
      *  path never constructs a std::function. */
     Scheduler::CanAdmit can_admit_;
-
-    // ---- Online-session state ----------------------------------------
-    /** Requests owned by an online session: a deque for stable
-     *  addresses (the arrival queue and scheduler hold pointers) with
-     *  terminal requests popped off the front (bounded memory). */
+    /** Requests owned by the session: a deque for stable addresses
+     *  (the arrival queue and scheduler hold pointers) with terminal
+     *  requests popped off the front (bounded memory). */
     std::deque<Request> owned_;
     bool online_open_ = false;
     /** Newest submitted arrival time (monotone-submission contract). */

@@ -1,10 +1,9 @@
 /**
  * @file
- * Cluster-level request router. Arrivals are routed to replicas on the
- * shared virtual arrival timeline *before* any replica simulates, so
- * routing is deterministic regardless of how the replica worker
- * threads interleave. The router keeps its own load model per replica:
- * every routed request occupies its replica until an estimated finish
+ * Cluster-level request router. Arrivals are routed to replicas on
+ * the shared virtual arrival timeline, so routing is a deterministic
+ * function of the trace. The router keeps its own load model per
+ * replica: every routed request occupies its replica until an estimated finish
  * time and holds an estimated KV commitment, both supplied by the
  * caller (the cluster derives them from each replica's kernel model
  * and MemoryBackend budget).
@@ -106,8 +105,7 @@ class Router
      * once per replica and the least-loaded replica wins. The order is
      * lexicographic — an unsaturated replica always beats a saturated
      * one, then lower liveScore, then lower index — so the decision is
-     * a pure function of the snapshots (deterministic across runs and
-     * execution modes).
+     * a pure function of the snapshots (deterministic across runs).
      */
     int routeLive(TimeNs arrival_ns,
                   const std::function<LiveLoad(int replica)> &load);

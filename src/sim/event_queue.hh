@@ -1,17 +1,14 @@
 /**
  * @file
  * Discrete-event scaffolding over the virtual TimeNs timeline: a
- * deterministic binary min-heap of timestamped events. This is the
- * core of the event-driven simulation paths — the engine schedules
- * request arrivals on it, and the cluster's event-loop driver steps
- * whichever replica has the earliest next event instead of burning one
- * std::thread per replica.
+ * deterministic binary min-heap of timestamped events. The engine
+ * schedules request arrivals on it, so an idle engine jumps straight
+ * to its next arrival instead of stepping through empty time.
  *
  * Determinism contract: events pop in non-decreasing time order, and
  * events carrying the same timestamp pop in push (FIFO) order. That
  * makes every consumer reproducible: the engine admits same-instant
- * arrivals in trace order (exactly what the historical stable_sort
- * did), and the cluster coordinator breaks replica ties by push order.
+ * arrivals in submission order.
  */
 
 #ifndef VATTN_SIM_EVENT_QUEUE_HH
@@ -33,10 +30,10 @@ inline constexpr TimeNs kNoEventNs = ~TimeNs{0} >> 1;
 /**
  * Min-heap of (time, payload) events with FIFO tie-breaking.
  *
- * Payload is any movable type (the engine uses Request*, the cluster
- * a replica index). Pop returns the payload only; peek exposes the
- * timestamp. The heap storage is reused across push/pop cycles, so a
- * steady-state push-one-pop-one consumer performs no allocations.
+ * Payload is any movable type (the engine uses Request*). Pop
+ * returns the payload only; peek exposes the timestamp. The heap
+ * storage is reused across push/pop cycles, so a steady-state
+ * push-one-pop-one consumer performs no allocations.
  */
 template <typename Payload>
 class EventQueue

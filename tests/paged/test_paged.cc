@@ -2,7 +2,6 @@
 
 #include "cuvmm/driver.hh"
 #include "paged/block_manager.hh"
-#include "paged/block_table.hh"
 #include "paged/paged_kv_cache.hh"
 #include "test_util.hh"
 
@@ -93,53 +92,6 @@ TEST(RequestBlocks, OomSurfacedMidGrowth)
     EXPECT_EQ(status.code(), ErrorCode::kOutOfMemory);
     // Partial growth retained (vLLM would preempt at this point).
     EXPECT_EQ(blocks.blocks().size(), 3u);
-}
-
-TEST(PaddedBlockTable, PadsToLongestRequest)
-{
-    std::vector<i32> r0 = {5};
-    std::vector<i32> r1 = {1, 2, 3, 4};
-    auto table = PaddedBlockTable::build({&r0, &r1});
-    EXPECT_EQ(table.batch, 2);
-    EXPECT_EQ(table.max_blocks, 4);
-    // The padding is the §3.3.2 cost driver: 8 slots for 5 blocks.
-    EXPECT_EQ(table.numEntries(), 8);
-    EXPECT_EQ(table.at(0, 0), 5);
-    EXPECT_EQ(table.at(0, 1), -1);
-    EXPECT_EQ(table.at(1, 3), 4);
-}
-
-TEST(CompressedBlockTable, CsrLayout)
-{
-    std::vector<i32> r0 = {5};
-    std::vector<i32> r1 = {1, 2, 3, 4};
-    auto table = CompressedBlockTable::build({&r0, &r1});
-    EXPECT_EQ(table.batch(), 2);
-    EXPECT_EQ(table.numEntries(), 5); // no padding
-    auto [begin0, end0] = table.row(0);
-    EXPECT_EQ(end0 - begin0, 1);
-    EXPECT_EQ(*begin0, 5);
-    auto [begin1, end1] = table.row(1);
-    EXPECT_EQ(end1 - begin1, 4);
-    EXPECT_EQ(begin1[2], 3);
-}
-
-TEST(BlockTables, PaddedCostExceedsCsrWithSkew)
-{
-    // One long and many short requests: exactly the pathological
-    // padding case the paper describes.
-    std::vector<i32> longreq(1000);
-    std::vector<i32> shortreq = {1};
-    std::vector<const std::vector<i32> *> batch;
-    batch.push_back(&longreq);
-    for (int i = 0; i < 31; ++i) {
-        batch.push_back(&shortreq);
-    }
-    auto padded = PaddedBlockTable::build(batch);
-    auto csr = CompressedBlockTable::build(batch);
-    EXPECT_EQ(padded.numEntries(), 32 * 1000);
-    EXPECT_EQ(csr.numEntries(), 1000 + 31);
-    EXPECT_GT(padded.numEntries(), 30 * csr.numEntries());
 }
 
 class PagedCacheTest : public ::testing::Test

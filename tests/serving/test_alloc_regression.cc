@@ -258,7 +258,12 @@ TEST_P(SteadyStateDecode, IterationsAreAllocationFree)
                     "allocate by design";
 #endif
     Engine engine(steadyConfig(GetParam()));
-    engine.beginRun(steadyTrace());
+    auto trace = steadyTrace();
+    engine.beginOnline(trace.size());
+    for (auto &request : trace) {
+        ASSERT_TRUE(engine.submitOnline(request).isOk());
+    }
+    engine.closeOnline();
     const int window = longestZeroAllocWindow(engine);
     const RunReport report = engine.endRun();
     EXPECT_EQ(report.num_requests, 4);

@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -182,8 +181,7 @@ TEST(Cluster, SecondRunOnSameClusterPanics)
 
 TEST(Cluster, DeterministicMergedReportAcrossRuns)
 {
-    // Same seed => byte-identical merged report, independent of how
-    // the four worker threads interleave.
+    // Same seed => byte-identical merged report.
     ClusterReport reports[2];
     for (auto &report : reports) {
         auto config = ServingCluster::uniform(
@@ -292,40 +290,6 @@ TEST(Cluster, EmptyTraceYieldsZeroedReport)
     EXPECT_EQ(report.merged.decodeTokensPerSecond(), 0.0);
     EXPECT_DOUBLE_EQ(report.jain_fairness, 1.0);
     EXPECT_DOUBLE_EQ(report.request_imbalance, 0.0);
-}
-
-TEST(Cluster, ProgressAccumulatorMatchesMergedReport)
-{
-    // The worker threads accumulate run progress into the shared
-    // mutex-guarded counter; after the run it must agree exactly with
-    // the deterministic merged report (integer sums are
-    // order-independent). Polling it concurrently from this thread is
-    // the cross-thread read the thread-safety annotations certify —
-    // and a data-race probe under the TSan preset.
-    ServingCluster cluster(ServingCluster::uniform(
-        replicaConfig(), 4, RoutingPolicy::kRoundRobin));
-    EXPECT_EQ(cluster.progress().replicas_finished, 0);
-
-    ClusterReport report;
-    std::thread runner([&cluster, &report] {
-        report = cluster.run(chatTrace(32, 8.0, 91));
-    });
-    // Concurrent observation: monotone, never past the replica count.
-    int last_seen = 0;
-    while (last_seen < 4) {
-        const auto snapshot = cluster.progress();
-        EXPECT_GE(snapshot.replicas_finished, last_seen);
-        EXPECT_LE(snapshot.replicas_finished, 4);
-        last_seen = std::max(last_seen, snapshot.replicas_finished);
-    }
-    runner.join();
-
-    const auto final_progress = cluster.progress();
-    EXPECT_EQ(final_progress.replicas_finished, 4);
-    EXPECT_EQ(final_progress.requests_finished,
-              report.merged.num_requests);
-    EXPECT_EQ(final_progress.tokens_served,
-              report.merged.prompt_tokens + report.merged.decode_tokens);
 }
 
 TEST(Cluster, MixedBackendReplicasServe)

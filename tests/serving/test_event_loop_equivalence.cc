@@ -1,20 +1,22 @@
 /**
  * @file
- * Execution-mode equivalence: the event-driven paths must reproduce
- * the historical drivers bit for bit.
+ * Driver equivalence: the event-driven paths must reproduce plain
+ * per-replica simulation bit for bit.
  *
- *  - ServingCluster under ClusterExecution::kEventLoop vs kThreads on
- *    a Figure-10-style online trace: identical merged and per-replica
- *    reports, down to the full latency sample vectors and the
- *    timestamp-merged iteration records.
- *  - Engine::beginRun/stepRun/endRun driven externally vs run() on a
- *    sparse-arrival trace: identical RunReport, identical iteration
- *    records, and the idle steps jump the clock instead of spinning.
+ *  - ServingCluster::run vs routeTrace plus a fresh Engine::run per
+ *    replica share on a Figure-10-style online trace: identical
+ *    per-replica and merged reports, down to the full latency sample
+ *    vectors and the timestamp-merged iteration records.
+ *  - An Engine session (beginOnline/submitOnline/closeOnline) stepped
+ *    externally vs run() on a sparse-arrival trace: identical
+ *    RunReport, identical iteration records, and the idle steps jump
+ *    the clock instead of spinning.
  *  - The k-way iteration merge is pinned against its specification,
  *    a stable sort of the concatenated per-replica streams.
  */
 
 #include <algorithm>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -112,75 +114,105 @@ onlineTrace(int n)
 }
 
 ClusterReport
-runCluster(ClusterExecution execution, const std::vector<Request> &trace)
+runCluster(const std::vector<Request> &trace)
 {
-    auto config = ServingCluster::uniform(
-        replicaConfig(), 3, RoutingPolicy::kJoinShortestQueue);
-    config.execution = execution;
-    ServingCluster cluster(std::move(config));
-    EXPECT_EQ(cluster.resolvedExecution(), execution);
+    ServingCluster cluster(ServingCluster::uniform(
+        replicaConfig(), 3, RoutingPolicy::kJoinShortestQueue));
     return cluster.run(trace);
 }
 
-TEST(EventLoopEquivalence, ClusterEventLoopMatchesThreadsBitForBit)
+/** The merge specification over per-replica reports: counts summed,
+ *  maxima maxed, every sample pooled, iteration records stably sorted
+ *  by start time with replicas in index order. */
+RunReport
+mergeBySpec(const std::vector<RunReport> &replicas)
 {
+    RunReport merged;
+    std::vector<IterationRecord> iterations;
+    for (const RunReport &r : replicas) {
+        merged.num_requests += r.num_requests;
+        merged.makespan_ns = std::max(merged.makespan_ns, r.makespan_ns);
+        merged.busy_ns += r.busy_ns;
+        merged.prompt_tokens += r.prompt_tokens;
+        merged.decode_tokens += r.decode_tokens;
+        merged.decode_iterations += r.decode_iterations;
+        merged.prefill_iterations += r.prefill_iterations;
+        merged.mixed_iterations += r.mixed_iterations;
+        merged.preemptions += r.preemptions;
+        merged.peak_batch = std::max(merged.peak_batch, r.peak_batch);
+        merged.swap_outs += r.swap_outs;
+        merged.swap_ins += r.swap_ins;
+        merged.swap_out_bytes += r.swap_out_bytes;
+        merged.swap_in_bytes += r.swap_in_bytes;
+        merged.swap_stall_ns += r.swap_stall_ns;
+        merged.dropped_requests += r.dropped_requests;
+        merged.prefix_lookups += r.prefix_lookups;
+        merged.prefix_hits += r.prefix_hits;
+        merged.prefill_tokens_saved += r.prefill_tokens_saved;
+        merged.prefix_aliased_bytes += r.prefix_aliased_bytes;
+        merged.prefix_copied_bytes += r.prefix_copied_bytes;
+        for (double x : r.latency_s.sorted()) {
+            merged.latency_s.add(x);
+        }
+        for (double x : r.ttft_s.sorted()) {
+            merged.ttft_s.add(x);
+        }
+        for (double x : r.tbt_s.sorted()) {
+            merged.tbt_s.add(x);
+        }
+        for (double x : r.normalized_latency_s.sorted()) {
+            merged.normalized_latency_s.add(x);
+        }
+        iterations.insert(iterations.end(), r.iterations.begin(),
+                          r.iterations.end());
+    }
+    std::stable_sort(iterations.begin(), iterations.end(),
+                     [](const IterationRecord &a, const IterationRecord &b) {
+                         return a.start_ns < b.start_ns;
+                     });
+    merged.iterations = std::move(iterations);
+    return merged;
+}
+
+TEST(Cluster, RunMatchesPerReplicaEngines)
+{
+    // Replicas are independent once routed, so the cluster must equal
+    // its routing pre-pass plus one plain Engine::run per share — under
+    // both composer policies, and with more replicas than the host has
+    // hardware threads.
+    const int many =
+        static_cast<int>(std::max(1u, std::thread::hardware_concurrency())) +
+        1;
     const auto trace = onlineTrace(18);
-    const auto threads = runCluster(ClusterExecution::kThreads, trace);
-    const auto events = runCluster(ClusterExecution::kEventLoop, trace);
+    for (const SchedulingMode mode : {SchedulingMode::kStallFreeChunked,
+                                      SchedulingMode::kPrefillPrioritized}) {
+        for (const int replicas : {3, many}) {
+            SCOPED_TRACE(std::string(toString(mode)) + ", " +
+                         std::to_string(replicas) + " replicas");
+            ServingCluster cluster(ServingCluster::uniform(
+                replicaConfig(mode), replicas,
+                RoutingPolicy::kJoinShortestQueue));
+            const std::vector<int> assignment = cluster.routeTrace(trace);
+            const ClusterReport report = cluster.run(trace);
 
-    ASSERT_EQ(threads.replicas.size(), events.replicas.size());
-    for (std::size_t r = 0; r < threads.replicas.size(); ++r) {
-        expectSameReport(threads.replicas[r], events.replicas[r]);
+            std::vector<std::vector<Request>> shares(
+                static_cast<std::size_t>(replicas));
+            for (std::size_t i = 0; i < trace.size(); ++i) {
+                shares[static_cast<std::size_t>(assignment[i])].push_back(
+                    trace[i]);
+            }
+            std::vector<RunReport> expected;
+            ASSERT_EQ(report.replicas.size(), shares.size());
+            for (std::size_t r = 0; r < shares.size(); ++r) {
+                Engine engine(replicaConfig(mode));
+                expected.push_back(engine.run(shares[r]));
+                expectSameReport(report.replicas[r], expected.back());
+                EXPECT_EQ(report.assigned[r],
+                          static_cast<i64>(shares[r].size()));
+            }
+            expectSameReport(report.merged, mergeBySpec(expected));
+        }
     }
-    expectSameReport(threads.merged, events.merged);
-    EXPECT_EQ(threads.assigned, events.assigned);
-    EXPECT_DOUBLE_EQ(threads.request_imbalance, events.request_imbalance);
-    EXPECT_DOUBLE_EQ(threads.token_imbalance, events.token_imbalance);
-    EXPECT_DOUBLE_EQ(threads.busy_imbalance, events.busy_imbalance);
-    EXPECT_DOUBLE_EQ(threads.jain_fairness, events.jain_fairness);
-}
-
-TEST(EventLoopEquivalence, ClusterEquivalenceUnderPrefillPrioritized)
-{
-    // The other composer policy exercises monolithic prefill
-    // iterations and different preemption timing.
-    auto trace = onlineTrace(12);
-    ClusterReport reports[2];
-    const ClusterExecution modes[] = {ClusterExecution::kThreads,
-                                      ClusterExecution::kEventLoop};
-    for (int i = 0; i < 2; ++i) {
-        auto config = ServingCluster::uniform(
-            replicaConfig(SchedulingMode::kPrefillPrioritized), 2,
-            RoutingPolicy::kRoundRobin);
-        config.execution = modes[i];
-        ServingCluster cluster(std::move(config));
-        reports[i] = cluster.run(trace);
-    }
-    expectSameReport(reports[0].merged, reports[1].merged);
-}
-
-TEST(EventLoopEquivalence, AutoResolvesByCoreCount)
-{
-    const unsigned cores =
-        std::max(1u, std::thread::hardware_concurrency());
-    auto config = ServingCluster::uniform(
-        replicaConfig(), 2, RoutingPolicy::kRoundRobin);
-    ServingCluster small(std::move(config));
-    EXPECT_EQ(small.resolvedExecution(),
-              2 > cores ? ClusterExecution::kEventLoop
-                        : ClusterExecution::kThreads);
-
-    // More replicas than any host has cores: must pick the event loop
-    // (this is the regime the coordinator exists for).
-    auto big_config = ServingCluster::uniform(
-        replicaConfig(), static_cast<int>(cores) + 1,
-        RoutingPolicy::kRoundRobin);
-    ServingCluster big(std::move(big_config));
-    EXPECT_EQ(big.resolvedExecution(), ClusterExecution::kEventLoop);
-
-    EXPECT_STREQ(toString(ClusterExecution::kAuto), "auto");
-    EXPECT_STREQ(toString(ClusterExecution::kThreads), "threads");
-    EXPECT_STREQ(toString(ClusterExecution::kEventLoop), "event_loop");
 }
 
 TEST(EventLoopEquivalence, MergedIterationsMatchStableSortSpec)
@@ -188,8 +220,7 @@ TEST(EventLoopEquivalence, MergedIterationsMatchStableSortSpec)
     // Pin the k-way merge against its specification: a stable sort of
     // the concatenated per-replica streams by start time, replicas in
     // index order. Any tie-break change shows up here.
-    const auto report =
-        runCluster(ClusterExecution::kEventLoop, onlineTrace(18));
+    const auto report = runCluster(onlineTrace(18));
     std::vector<std::pair<std::size_t, const IterationRecord *>> spec;
     for (std::size_t r = 0; r < report.replicas.size(); ++r) {
         for (const auto &record : report.replicas[r].iterations) {
@@ -223,6 +254,17 @@ sparseTrace(int n)
     return trace;
 }
 
+/** Open a session, submit @p trace (time-ordered) and close it. */
+void
+submitAll(Engine &engine, std::vector<Request> trace)
+{
+    engine.beginOnline(trace.size());
+    for (Request &request : trace) {
+        ASSERT_TRUE(engine.submitOnline(std::move(request)).isOk());
+    }
+    engine.closeOnline();
+}
+
 TEST(EventLoopEquivalence, StepApiMatchesRunOnSparseTrace)
 {
     const auto trace = sparseTrace(16);
@@ -232,7 +274,7 @@ TEST(EventLoopEquivalence, StepApiMatchesRunOnSparseTrace)
 
     Engine stepped(replicaConfig());
     EXPECT_EQ(stepped.nextEventNs(), sim::kNoEventNs); // no active run
-    stepped.beginRun(trace);
+    submitAll(stepped, trace);
     while (stepped.runActive()) {
         // The engine's next event never precedes its clock, and while
         // active it is always a real timestamp.
@@ -257,7 +299,7 @@ TEST(EventLoopEquivalence, IdleEngineJumpsToNextArrival)
     trace[0].arrival_ns = 0;
     trace[1].arrival_ns = kHourNs; // an hour of virtual time later
     Engine engine(replicaConfig());
-    engine.beginRun(std::move(trace));
+    submitAll(engine, std::move(trace));
 
     // Serve the first request to completion.
     while (engine.runActive() &&
@@ -284,18 +326,24 @@ TEST(EventLoopEquivalence, StepApiGuardsMisuse)
     Engine engine(replicaConfig());
     EXPECT_THROW(engine.stepRun(), SimError); // no active run
 
-    engine.beginRun(sparseTrace(4));
-    EXPECT_THROW(engine.beginRun(sparseTrace(4)), SimError); // nested
-    EXPECT_THROW(engine.endRun(), SimError); // requests in flight
+    engine.beginOnline();
+    EXPECT_THROW(engine.beginOnline(), SimError); // nested, still open
+    EXPECT_THROW(engine.endRun(), SimError);      // session still open
+    for (Request &request : sparseTrace(4)) {
+        ASSERT_TRUE(engine.submitOnline(std::move(request)).isOk());
+    }
+    engine.closeOnline();
+    EXPECT_THROW(engine.beginOnline(), SimError); // nested, in flight
+    EXPECT_THROW(engine.endRun(), SimError);      // requests in flight
     while (engine.runActive()) {
         engine.stepRun();
     }
     EXPECT_EQ(engine.endRun().num_requests, 4);
 
-    // A drained engine reports no pending events and an empty begin/
-    // end cycle yields the zero report.
+    // A drained engine reports no pending events and an empty
+    // open/close cycle yields the zero report.
     Engine fresh(replicaConfig());
-    fresh.beginRun({});
+    submitAll(fresh, {});
     EXPECT_FALSE(fresh.runActive());
     EXPECT_EQ(fresh.endRun().num_requests, 0);
 }

@@ -1,9 +1,8 @@
 /**
  * @file
  * sim::EventQueue: min-heap ordering over TimeNs, FIFO tie-breaking
- * (the determinism contract the engine's arrival queue and the
- * cluster's event-loop coordinator both lean on), storage reuse and
- * the empty-queue panics.
+ * (the determinism contract the engine's arrival queue leans on),
+ * storage reuse and the empty-queue panics.
  */
 
 #include <gtest/gtest.h>
