@@ -4,9 +4,11 @@
  * per-replica simulation bit for bit.
  *
  *  - ServingCluster::run vs routeTrace plus a fresh Engine::run per
- *    replica share on a Figure-10-style online trace: identical
- *    per-replica and merged reports, down to the full latency sample
- *    vectors and the timestamp-merged iteration records.
+ *    replica share, each on its own thread, on a Figure-10-style
+ *    online trace, under both composer policies and with more
+ *    replicas than cores: identical per-replica and merged reports,
+ *    down to the full latency sample vectors and the timestamp-merged
+ *    iteration records.
  *  - An Engine session (beginOnline/submitOnline/closeOnline) stepped
  *    externally vs run() on a sparse-arrival trace: identical
  *    RunReport, identical iteration records, and the idle steps jump
@@ -174,44 +176,78 @@ mergeBySpec(const std::vector<RunReport> &replicas)
     return merged;
 }
 
-TEST(Cluster, RunMatchesPerReplicaEngines)
+/** Route @p trace with a cluster of @p replicas, run it there, and
+ *  check the cluster's one driver against the per-replica reference:
+ *  a fresh Engine::run per routed share, each on its own thread as
+ *  independent replicas would run. Every per-replica report and the
+ *  merged report (against mergeBySpec) must agree bit for bit. */
+void
+expectMatchesThreadedReplicas(const EngineConfig &config, int replicas,
+                              RoutingPolicy policy,
+                              const std::vector<Request> &trace)
 {
-    // Replicas are independent once routed, so the cluster must equal
-    // its routing pre-pass plus one plain Engine::run per share — under
-    // both composer policies, and with more replicas than the host has
-    // hardware threads.
-    const int many =
-        static_cast<int>(std::max(1u, std::thread::hardware_concurrency())) +
-        1;
-    const auto trace = onlineTrace(18);
-    for (const SchedulingMode mode : {SchedulingMode::kStallFreeChunked,
-                                      SchedulingMode::kPrefillPrioritized}) {
-        for (const int replicas : {3, many}) {
-            SCOPED_TRACE(std::string(toString(mode)) + ", " +
-                         std::to_string(replicas) + " replicas");
-            ServingCluster cluster(ServingCluster::uniform(
-                replicaConfig(mode), replicas,
-                RoutingPolicy::kJoinShortestQueue));
-            const std::vector<int> assignment = cluster.routeTrace(trace);
-            const ClusterReport report = cluster.run(trace);
+    ServingCluster cluster(ServingCluster::uniform(config, replicas, policy));
+    const std::vector<int> assignment = cluster.routeTrace(trace);
+    const ClusterReport report = cluster.run(trace);
 
-            std::vector<std::vector<Request>> shares(
-                static_cast<std::size_t>(replicas));
-            for (std::size_t i = 0; i < trace.size(); ++i) {
-                shares[static_cast<std::size_t>(assignment[i])].push_back(
-                    trace[i]);
-            }
-            std::vector<RunReport> expected;
-            ASSERT_EQ(report.replicas.size(), shares.size());
-            for (std::size_t r = 0; r < shares.size(); ++r) {
-                Engine engine(replicaConfig(mode));
-                expected.push_back(engine.run(shares[r]));
-                expectSameReport(report.replicas[r], expected.back());
-                EXPECT_EQ(report.assigned[r],
-                          static_cast<i64>(shares[r].size()));
-            }
-            expectSameReport(report.merged, mergeBySpec(expected));
-        }
+    std::vector<std::vector<Request>> shares(
+        static_cast<std::size_t>(replicas));
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        shares[static_cast<std::size_t>(assignment[i])].push_back(trace[i]);
+    }
+    std::vector<RunReport> expected(shares.size());
+    std::vector<std::thread> workers;
+    for (std::size_t r = 0; r < shares.size(); ++r) {
+        workers.emplace_back([&config, &shares, &expected, r] {
+            Engine engine(config);
+            expected[r] = engine.run(shares[r]);
+        });
+    }
+    for (std::thread &worker : workers) {
+        worker.join();
+    }
+
+    ASSERT_EQ(report.replicas.size(), shares.size());
+    for (std::size_t r = 0; r < shares.size(); ++r) {
+        SCOPED_TRACE("replica " + std::to_string(r));
+        expectSameReport(report.replicas[r], expected[r]);
+        EXPECT_EQ(report.assigned[r], static_cast<i64>(shares[r].size()));
+    }
+    expectSameReport(report.merged, mergeBySpec(expected));
+}
+
+TEST(EventLoopEquivalence, ClusterEventLoopMatchesThreadsBitForBit)
+{
+    // Replicas are independent once routed, so the cluster's single
+    // driver, which interleaves them on one thread, must equal its
+    // routing pre-pass plus one Engine::run per share on its own thread.
+    expectMatchesThreadedReplicas(replicaConfig(), 3,
+                                  RoutingPolicy::kJoinShortestQueue,
+                                  onlineTrace(18));
+}
+
+TEST(EventLoopEquivalence, ClusterEquivalenceUnderPrefillPrioritized)
+{
+    // The other composer policy exercises monolithic prefill
+    // iterations and different preemption timing.
+    expectMatchesThreadedReplicas(
+        replicaConfig(SchedulingMode::kPrefillPrioritized), 2,
+        RoutingPolicy::kRoundRobin, onlineTrace(12));
+}
+
+TEST(EventLoopEquivalence, AutoResolvesByCoreCount)
+{
+    // The cluster has one driver whatever the host's core count: with
+    // fewer replicas than cores and with more, it matches the threaded
+    // per-replica reference.
+    const int cores =
+        static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+    for (const int replicas : {std::min(2, cores), cores + 1}) {
+        SCOPED_TRACE(std::to_string(replicas) + " replicas on " +
+                     std::to_string(cores) + " cores");
+        expectMatchesThreadedReplicas(replicaConfig(), replicas,
+                                      RoutingPolicy::kRoundRobin,
+                                      onlineTrace(12));
     }
 }
 

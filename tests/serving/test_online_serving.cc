@@ -498,6 +498,53 @@ TEST(ClusterOnlineTest, StaticRoutingMatchesRunBitForBit)
                      online_report.jain_fairness);
 }
 
+TEST(ClusterOnlineTest, ThreadsAndEventLoopAgreeBitForBit)
+{
+    // The session with live routing and migration is one event loop
+    // over the replicas, whichever thread feeds it: a session fed from
+    // a client thread agrees bit for bit with one fed from the calling
+    // thread, goodput and merged iteration stream included.
+    auto trace = skewedTenantOnlineTrace(40);
+    for (auto &request : trace) {
+        request.ttft_deadline_ns = 2'000'000'000;
+        request.tbt_deadline_ns = 500'000'000;
+    }
+
+    auto runSession = [&](bool from_client_thread) {
+        ServingCluster cluster(clusterConfig());
+        OnlineOptions options;
+        options.routing = RoutingMode::kLive;
+        options.migration = true;
+        options.expected_requests = trace.size();
+        cluster.start(options);
+        auto feed = [&] {
+            for (const auto &request : trace) {
+                EXPECT_TRUE(cluster.submit(request).isOk());
+            }
+        };
+        if (from_client_thread) {
+            std::thread client(feed);
+            client.join();
+        } else {
+            feed();
+        }
+        return cluster.shutdown();
+    };
+
+    auto threaded = runSession(true);
+    auto inline_fed = runSession(false);
+
+    EXPECT_EQ(threaded.merged.num_requests,
+              static_cast<i64>(trace.size()));
+    EXPECT_DOUBLE_EQ(threaded.merged.goodput(),
+                     inline_fed.merged.goodput());
+    ASSERT_EQ(threaded.assigned, inline_fed.assigned);
+    expectSameReport(threaded.merged, inline_fed.merged);
+    for (std::size_t i = 0; i < threaded.replicas.size(); ++i) {
+        expectSameReport(threaded.replicas[i], inline_fed.replicas[i]);
+    }
+}
+
 TEST(ClusterOnlineTest, ConcurrentSubmitIsSerialized)
 {
     // Two client threads submit into one session at the same virtual
