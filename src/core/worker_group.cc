@@ -195,42 +195,11 @@ WorkerGroup::physBytesMappedTotal() const
 }
 
 bool
-WorkerGroup::inLockstep() const
-{
-    const auto &reference = *workers_[0].runtime;
-    for (std::size_t w = 1; w < workers_.size(); ++w) {
-        const auto &other = *workers_[w].runtime;
-        if (other.physBytesMapped() != reference.physBytesMapped() ||
-            other.poolFreeHandles() != reference.poolFreeHandles() ||
-            other.cachedHandles() != reference.cachedHandles() ||
-            other.slots().numActive() !=
-                reference.slots().numActive() ||
-            other.slots().numCached() !=
-                reference.slots().numCached()) {
-            return false;
-        }
-        for (int slot = 0; slot < reference.config().max_batch_size;
-             ++slot) {
-            if (other.groupsMapped(slot) !=
-                    reference.groupsMapped(slot) ||
-                other.slots().state(slot) !=
-                    reference.slots().state(slot)) {
-                return false;
-            }
-        }
-    }
-    return true;
-}
-
-bool
 WorkerGroup::checkInvariants() const
 {
-    for (const auto &worker : workers_) {
-        if (!worker.runtime->checkInvariants()) {
-            return false;
-        }
-    }
-    return inLockstep();
+    audit::AuditReport report;
+    auditInto(report);
+    return report.ok();
 }
 
 bool

@@ -120,13 +120,7 @@ class WorkerGroup
     /** Physical KV bytes mapped across ALL workers. */
     u64 physBytesMappedTotal() const;
 
-    /**
-     * Are all workers in identical states (slot states, group counts,
-     * pool levels)? True by construction; a false return indicates a
-     * determinism bug.
-     */
-    bool inLockstep() const;
-
+    /** auditInto() passes (every worker clean and in lockstep). */
     bool checkInvariants() const;
 
     /**

@@ -3,9 +3,13 @@
  * The serving engine: continuous-batching event loop over a virtual
  * clock, combining the memory backend (paged or vAttention), the
  * roofline kernel model and the CPU overhead model. One Engine models
- * one model replica (TP workers behave identically and advance in
- * lockstep, so a single simulated worker carries the per-worker state
- * while kernel times account for the TP split).
+ * one model replica of tp_degree workers. The backend holds the
+ * per-worker KV state (vAttention: a lockstep group of per-worker
+ * runtimes, each with its own driver and physical memory; paged: one
+ * block pool shared by all workers, as vLLM's centralized KV cache
+ * manager, sized for one worker's num_kv_heads/tp shard), and every
+ * byte figure the engine reads is per worker; kernel times account
+ * for the TP split.
  *
  * Iteration composition lives outside the engine: every loop step
  * asks the scheduler layer's BatchComposer for an IterationPlan (a
@@ -84,9 +88,9 @@ struct EngineConfig
 {
     perf::ModelSpec model = perf::ModelSpec::yi6B();
     perf::GpuSpec gpu = perf::GpuSpec::a100();
-    /** Tensor-parallel degree: the replica runs one lockstep worker
-     *  per rank (num_kv_heads/tp KV shards, §5.3); kernel times use
-     *  the per-worker head counts and commTime adds the all-reduces. */
+    /** Tensor-parallel degree: each worker holds a num_kv_heads/tp
+     *  KV shard (§5.3); kernel times use the per-worker head counts
+     *  and commTime adds the all-reduces. */
     int tp_degree = 1;
     perf::BackendKind backend = perf::BackendKind::kFa2VAttention;
     /** Interconnect collective cost model for TP all-reduces. The
@@ -205,8 +209,8 @@ class Engine
      * Hand the newest swapped-out request to @p target over the host
      * tier: the KV image is exported here (freeing this replica's
      * slot and host pages) and imported there; the target's regular
-     * swap-in then pays the HtoD copy. The whole lockstep TP group
-     * migrates as a unit on both sides. False when there is no
+     * swap-in then pays the HtoD copy. The whole TP group migrates
+     * as a unit on both sides. False when there is no
      * movable request or the target cannot adopt the image (wrong
      * backend family or geometry, no free slot, host tier full) — the
      * donor re-imports its own image, so failure is side-effect-free.

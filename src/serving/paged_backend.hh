@@ -20,12 +20,11 @@
  * a uniform model collapses to the single historical manager with
  * bit-identical arithmetic.
  *
- * Tensor parallelism: one block pool per TP worker, each sized for a
- * num_kv_heads/tp KV shard and driven in lockstep — every mutation is
- * applied to all workers and must produce identical results (the pool
- * logic is deterministic, so divergence is a bug and panics).
- * Symmetric queries are answered by worker 0; auditInto() verifies the
- * cross-worker state equality that makes worker 0 representative.
+ * Tensor parallelism: one block pool per replica, as in vLLM's
+ * centralized KV cache manager (PagedAttention §4.6), whose block
+ * table every TP worker shares. Each worker holds a num_kv_heads/tp
+ * shard of every block, so the pool is sized for one worker's shard:
+ * block counts are TP-invariant and every byte figure is per worker.
  */
 
 #ifndef VATTN_SERVING_PAGED_BACKEND_HH
@@ -48,8 +47,8 @@ class PagedBackend : public MemoryBackend
   public:
     /**
      * @param model model architecture (for per-token KV bytes)
-     * @param tp tensor-parallel degree: one lockstep block pool per
-     *        worker, each holding a num_kv_heads/tp shard
+     * @param tp tensor-parallel degree: each block holds one
+     *        worker's num_kv_heads/tp shard
      * @param block_size tokens per KV block
      * @param budget_bytes per-worker KV pool bytes
      * @param enable_prefix_caching hash-block prefix cache (§8.1)
@@ -68,7 +67,7 @@ class PagedBackend : public MemoryBackend
     Result<int> allocSlot() override;
     bool prefixCachingEnabled() const override
     {
-        return workers_[0].groups[0].manager.prefixCacheEnabled();
+        return groups_[0].manager.prefixCacheEnabled();
     }
     i64 matchPrefix(const PrefixKey &key) const override;
     Result<SlotLease> allocSlot(const PrefixKey &key,
@@ -77,15 +76,14 @@ class PagedBackend : public MemoryBackend
                         i64 tokens) override;
     BackendPrefixStats prefixStats() const override
     {
-        return workers_[0].prefix;
+        return prefix_;
     }
     void freeSlot(int slot) override;
     Result<TimeNs> ensure(const ActiveLens &active) override;
     void computeWindow(TimeNs window_ns) override;
     u64 bytesInUse() const override;
     u64 budgetBytes() const override;
-    /** Per-worker block-manager self-audits + slot/manager
-     *  cross-checks + the cross-worker lockstep-equality check. */
+    /** Block-manager self-audits + slot/manager cross-checks. */
     void auditInto(audit::AuditReport &report) const override;
 
     bool supportsSwap() const override;
@@ -100,45 +98,29 @@ class PagedBackend : public MemoryBackend
     bool canImportSwapped(const SwappedKvImage &image) const override;
     Result<int> importSwapped(const SwappedKvImage &image) override;
 
-    /** Number of lockstep TP workers (block-pool replicas). */
-    int numWorkers() const
-    {
-        return static_cast<int>(workers_.size());
-    }
-
-    /** Worker 0's full-attention manager (the only group on uniform
-     *  models — the historical accessor for tests and benches). */
-    paged::BlockManager &blockManager()
-    {
-        return workers_[0].groups[0].manager;
-    }
-    i64 blockSize() const
-    {
-        return workers_[0].groups[0].manager.blockSize();
-    }
+    /** The full-attention manager (the only group on uniform models
+     *  — the historical accessor for tests and benches). */
+    paged::BlockManager &blockManager() { return groups_[0].manager; }
+    i64 blockSize() const { return groups_[0].manager.blockSize(); }
 
     /** Number of window classes (1 for uniform models). */
     int numLayerGroups() const
     {
-        return static_cast<int>(workers_[0].groups.size());
+        return static_cast<int>(groups_.size());
     }
-    /** Worker 0's manager of window class @p group. */
+    /** The manager of window class @p group. */
     paged::BlockManager &groupManager(int group)
     {
-        return workers_[0]
-            .groups[static_cast<std::size_t>(group)]
-            .manager;
+        return groups_[static_cast<std::size_t>(group)].manager;
     }
     /** Window width of class @p group (0 = full attention). */
     i64 groupWindowTokens(int group) const
     {
-        return workers_[0]
-            .groups[static_cast<std::size_t>(group)]
-            .window_tokens;
+        return groups_[static_cast<std::size_t>(group)].window_tokens;
     }
 
-    /** Blocks held by one slot across all groups, per worker
-     *  (overhead-model inputs; dead window leads excluded). */
+    /** Blocks held by one slot across all groups (overhead-model
+     *  inputs; dead window leads excluded). */
     i64 blocksHeld(int slot) const;
 
   private:
@@ -179,43 +161,15 @@ class PagedBackend : public MemoryBackend
         }
     };
 
-    /** One TP worker's complete block-pool state. The pool logic is
-     *  deterministic, so feeding every worker the same call sequence
-     *  keeps the replicas byte-identical (verified by auditInto). */
-    struct WorkerPool
-    {
-        std::vector<LayerGroup> groups;
-        std::unordered_map<int, Slot> slots;
-        int next_slot = 0;
-        BackendPrefixStats prefix;
-
-        i64 deadLeadBlocks(const LayerGroup &group, i64 tokens) const;
-        bool canAdmit(i64 uncached_tokens) const;
-        int allocSlot();
-        i64 matchPrefix(const PrefixKey &key) const;
-        SlotLease adoptPrefix(int slot, const PrefixKey &key,
-                              i64 max_cached);
-        void registerPrefix(int slot, const PrefixKey &key,
-                            i64 tokens);
-        void freeSlot(int slot);
-        Status ensureSlot(int slot, i64 len);
-        bool canSwapOut(int slot) const;
-        bool canSwapIn(int slot) const;
-        Result<u64> swapOutSlot(int slot);
-        Result<u64> swapInSlot(int slot);
-        Result<u64> exportSlot(int slot, SwappedKvImage &image);
-        bool canImportImage(const SwappedKvImage &image) const;
-        Result<int> importImage(const SwappedKvImage &image);
-        u64 slotPhysBytes(int slot) const;
-        u64 bytesInUse() const;
-        i64 blocksHeld(int slot) const;
-        void auditInto(audit::AuditReport &report,
-                       std::size_t worker) const;
-    };
+    /** Blocks of @p group wholly behind the window at @p tokens. */
+    static i64 deadLeadBlocks(const LayerGroup &group, i64 tokens);
 
     u64 budget_bytes_;
     perf::PcieSpec pcie_;
-    std::vector<WorkerPool> workers_;
+    std::vector<LayerGroup> groups_;
+    std::unordered_map<int, Slot> slots_;
+    int next_slot_ = 0;
+    BackendPrefixStats prefix_;
 };
 
 } // namespace vattn::serving

@@ -29,7 +29,7 @@ TEST(WorkerGroup, LockstepThroughBasicLifecycle)
 {
     WorkerGroup group(2, tpConfig(), 64 * MiB);
     ASSERT_EQ(group.numWorkers(), 2);
-    EXPECT_TRUE(group.inLockstep());
+    EXPECT_TRUE(group.checkInvariants());
 
     auto req = group.allocReqId();
     ASSERT_TRUE(req.isOk());
@@ -38,14 +38,14 @@ TEST(WorkerGroup, LockstepThroughBasicLifecycle)
     auto stats = group.step(lens);
     ASSERT_TRUE(stats.status.isOk());
     EXPECT_EQ(stats.handles_mapped, 8); // per worker: 2 groups x 4 buf
-    EXPECT_TRUE(group.inLockstep());
+    EXPECT_TRUE(group.checkInvariants());
 
     // Aggregate physical bytes = workers x per-worker bytes.
     EXPECT_EQ(group.physBytesMappedTotal(),
               2 * group.worker(0).physBytesMapped());
 
     group.computePhase(20 * kMsec);
-    EXPECT_TRUE(group.inLockstep());
+    EXPECT_TRUE(group.checkInvariants());
     ASSERT_TRUE(group.freeReqId(req.value()).isOk());
     EXPECT_TRUE(group.checkInvariants());
 }
@@ -159,7 +159,7 @@ TEST(WorkerGroup, LockstepAcrossPreemptionCycles)
     // Preempt mid-flight: mappings are retained (deferred
     // reclamation), every worker parks the same cached slot.
     ASSERT_TRUE(group.freeReqId(r1).isOk());
-    EXPECT_TRUE(group.inLockstep());
+    EXPECT_TRUE(group.checkInvariants());
     EXPECT_GT(group.worker(0).cachedHandles(), 0);
 
     // Re-admission reuses the same reqId on all workers (the group
@@ -192,7 +192,7 @@ TEST(WorkerGroup, LockstepAcrossSwapCycles)
     const auto out = group.swapOutReq(r1);
     ASSERT_TRUE(out.status.isOk()) << out.status.message();
     EXPECT_EQ(out.handles, 8); // per worker: 2 groups x 4 buffers
-    EXPECT_TRUE(group.inLockstep());
+    EXPECT_TRUE(group.checkInvariants());
     EXPECT_EQ(group.worker(0).groupsMapped(r1), 0);
     EXPECT_EQ(group.worker(1).swappedGroups(r1), 2);
 
@@ -201,7 +201,7 @@ TEST(WorkerGroup, LockstepAcrossSwapCycles)
     lens[static_cast<std::size_t>(r2)] = 2500;
     ASSERT_TRUE(group.step(lens).status.isOk());
     ASSERT_TRUE(group.freeReqId(r2).isOk());
-    EXPECT_TRUE(group.inLockstep());
+    EXPECT_TRUE(group.checkInvariants());
 
     // Swap back in and resume: same reqId, same virtual layout, no
     // divergence.
@@ -213,7 +213,7 @@ TEST(WorkerGroup, LockstepAcrossSwapCycles)
     ASSERT_TRUE(group.step(lens).status.isOk());
     EXPECT_TRUE(group.checkInvariants());
     ASSERT_TRUE(group.freeReqId(r1).isOk());
-    EXPECT_TRUE(group.inLockstep());
+    EXPECT_TRUE(group.checkInvariants());
 }
 
 TEST(WorkerGroup, AuditPassesOnHealthyGroup)
@@ -241,14 +241,14 @@ TEST(WorkerGroup, AuditLocalizesInjectedWorkerDesync)
     std::vector<i64> lens(4, 0);
     lens[static_cast<std::size_t>(r1)] = 1000;
     ASSERT_TRUE(group.step(lens).status.isOk());
-    EXPECT_TRUE(group.inLockstep());
+    EXPECT_TRUE(group.checkInvariants());
 
     // Worker 1 silently steps ahead: its slot maps more groups and
     // more physical bytes than worker 0's.
     std::vector<i64> ahead = lens;
     ahead[static_cast<std::size_t>(r1)] = 5000;
     ASSERT_TRUE(group.worker(1).step(ahead).status.isOk());
-    EXPECT_FALSE(group.inLockstep());
+    EXPECT_FALSE(group.checkInvariants());
 
     audit::AuditReport report;
     group.auditInto(report);
@@ -272,7 +272,7 @@ TEST(WorkerGroup, AuditCatchesLifecycleDesync)
     ASSERT_TRUE(group.step(lens).status.isOk());
 
     ASSERT_TRUE(group.worker(2).freeReqId(r1).isOk());
-    EXPECT_FALSE(group.inLockstep());
+    EXPECT_FALSE(group.checkInvariants());
 
     audit::AuditReport report;
     group.auditInto(report);

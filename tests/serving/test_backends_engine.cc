@@ -161,6 +161,28 @@ TEST(EngineTest, PagedPreemptionAlsoRecovers)
     EXPECT_EQ(report.num_requests, 6);
 }
 
+TEST(EngineTest, PagedTp2RunMatchesGolden)
+{
+    // A TP-2 paged replica under memory pressure, preempting by swap:
+    // the per-worker budget (32 KiB/token per worker) holds ~6400
+    // tokens of six 2100-token requests. The goldens pin the
+    // simulated outcome so changes to the paged pool's TP bookkeeping
+    // cannot move it.
+    auto config = tinyEngineConfig(perf::BackendKind::kFa2Paged);
+    config.tp_degree = 2;
+    config.kv_budget_override = 200 * MiB;
+    config.preemption_policy = PreemptionPolicy::kSwap;
+    config.host_swap_bytes = 1 * GiB;
+    Engine engine(config);
+    const auto report = engine.run(tinyTrace(6, 1500, 600));
+    EXPECT_EQ(report.num_requests, 6);
+    EXPECT_EQ(report.decode_tokens, 6 * 600);
+    EXPECT_EQ(report.preemptions, 5u);
+    EXPECT_EQ(report.swap_outs, 3u);
+    EXPECT_EQ(report.swap_ins, 3u);
+    EXPECT_EQ(report.makespan_ns, 10596881858u);
+}
+
 TEST(EngineTest, OnlineArrivalsRespectClock)
 {
     auto config = tinyEngineConfig(perf::BackendKind::kFa2VAttention);

@@ -4,11 +4,13 @@
  * layer-grouped block pools on the paged backend, window-aware
  * slotPhysBytes on both backends (regression tests pinning the
  * heterogeneous values the old uniform arithmetic got wrong), swap
- * round-trips of windowed slots, and the paged prefix-caching
- * incompatibility.
+ * round-trips of windowed slots, the paged prefix-caching
+ * incompatibility, and paged TP shards (1/tp bytes, same blocks).
  */
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "common/audit.hh"
 #include "serving/paged_backend.hh"
@@ -110,6 +112,101 @@ TEST(PagedWindowBackend, PrefixCachingRefusesSlidingLayers)
     EXPECT_THROW(PagedBackend(interleaved(), 1, 16, 1 * GiB,
                               /*enable_prefix_caching=*/true),
                  SimError);
+}
+
+TEST(PagedTpBackend, ShardBytesScaleInverselyWithTp)
+{
+    // One block pool per replica sized for a num_kv_heads/tp shard:
+    // with the per-worker budget cut by tp, a TP-n backend holds the
+    // same blocks as TP-1, each 1/tp the bytes.
+    for (const perf::ModelSpec &model :
+         {perf::ModelSpec::yi6B(), interleaved()}) {
+        constexpr i64 kTokens = 16 * 1024 + 5;
+        PagedBackend one(model, 1, 16, 4ULL * GiB);
+        const int s1 = one.allocSlot().value();
+        ASSERT_TRUE(one.ensure({{s1, kTokens}}).isOk());
+        ASSERT_GT(one.bytesInUse(), 0u);
+        for (const int tp : {2, 4}) {
+            SCOPED_TRACE(model.name + " TP-" + std::to_string(tp));
+            const auto utp = static_cast<u64>(tp);
+            PagedBackend sharded(model, tp, 16, 4ULL * GiB / utp);
+            ASSERT_EQ(sharded.numLayerGroups(), one.numLayerGroups());
+            for (int g = 0; g < one.numLayerGroups(); ++g) {
+                EXPECT_EQ(sharded.groupManager(g).numBlocks(),
+                          one.groupManager(g).numBlocks());
+            }
+            const int slot = sharded.allocSlot().value();
+            ASSERT_TRUE(sharded.ensure({{slot, kTokens}}).isOk());
+            EXPECT_EQ(sharded.blocksHeld(slot), one.blocksHeld(s1));
+            EXPECT_EQ(sharded.slotPhysBytes(slot) * utp,
+                      one.slotPhysBytes(s1));
+            EXPECT_EQ(sharded.bytesInUse() * utp, one.bytesInUse());
+            EXPECT_EQ(sharded.budgetBytes() * utp, one.budgetBytes());
+
+            audit::AuditReport report;
+            sharded.auditInto(report);
+            EXPECT_TRUE(report.ok()) << report.toString();
+            sharded.freeSlot(slot);
+            EXPECT_EQ(sharded.bytesInUse(), 0u);
+        }
+    }
+}
+
+TEST(PagedTpBackend, MigrationRoundTripCarriesOneShard)
+{
+    // Swap-out -> export -> import -> swap-in at TP-2: the image and
+    // both PCIe copies carry one worker's shard (half the TP-1 bytes),
+    // priced as one worker's copy since the shards move concurrently.
+    const perf::PcieSpec pcie = perf::PcieSpec::gen4x16();
+    auto make = [&](int tp) {
+        return PagedBackend(interleaved(), tp, 16,
+                            8ULL * GiB / static_cast<u64>(tp),
+                            /*enable_prefix_caching=*/false,
+                            /*host_swap_bytes=*/8ULL * GiB, pcie);
+    };
+    constexpr i64 kTokens = 12 * 1024 + 3;
+    PagedBackend one = make(1);
+    const int s1 = one.allocSlot().value();
+    ASSERT_TRUE(one.ensure({{s1, kTokens}}).isOk());
+    const u64 full_bytes = one.slotPhysBytes(s1);
+
+    PagedBackend donor = make(2);
+    PagedBackend target = make(2);
+    const int slot = donor.allocSlot().value();
+    ASSERT_TRUE(donor.ensure({{slot, kTokens}}).isOk());
+    const u64 shard = donor.slotPhysBytes(slot);
+    EXPECT_EQ(2 * shard, full_bytes);
+
+    const auto out = donor.swapOut(slot);
+    ASSERT_TRUE(out.isOk());
+    EXPECT_EQ(out.value().bytes, shard);
+    EXPECT_EQ(out.value().stall_ns, pcie.dtohNs(shard));
+    auto image = donor.exportSwapped(slot);
+    ASSERT_TRUE(image.isOk());
+    EXPECT_EQ(image.value().bytes, shard);
+    ASSERT_EQ(image.value().group_blocks.size(), 2u);
+    // The sliding class's dead lead travels with the image.
+    EXPECT_EQ(image.value().group_leads[0], 0);
+    EXPECT_EQ(image.value().group_leads[1], (kTokens - kWindow) / 16);
+    EXPECT_EQ(donor.bytesInUse(), 0u);
+
+    ASSERT_TRUE(target.canImportSwapped(image.value()));
+    auto imported = target.importSwapped(image.value());
+    ASSERT_TRUE(imported.isOk());
+    const auto in = target.swapIn(imported.value());
+    ASSERT_TRUE(in.isOk());
+    EXPECT_EQ(in.value().bytes, shard);
+    EXPECT_EQ(in.value().stall_ns, pcie.htodNs(shard));
+    EXPECT_EQ(target.slotPhysBytes(imported.value()), shard);
+    EXPECT_EQ(target.blocksHeld(imported.value()), one.blocksHeld(s1));
+    // The adopted request keeps growing from where the donor stopped.
+    ASSERT_TRUE(target.ensure({{imported.value(), kTokens + 16}}).isOk());
+
+    for (const PagedBackend *backend : {&donor, &target}) {
+        audit::AuditReport report;
+        backend->auditInto(report);
+        EXPECT_TRUE(report.ok()) << report.toString();
+    }
 }
 
 TEST(VAttnWindowBackend, SlotPhysBytesCountsPerLayerMappings)
